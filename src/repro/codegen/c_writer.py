@@ -93,14 +93,10 @@ class CWriter:
         return _fold(outer_op, rendered_groups)
 
     def _bound_term(self, expression: AffineExpr, is_lower: bool) -> str:
-        denominators = [value.denominator for value in expression.coefficients.values()]
-        denominators.append(expression.constant.denominator)
-        if all(d == 1 for d in denominators):
+        _constant, _terms, scale = expression.integer_form
+        if scale == 1:
             return self._expression(expression)
         # Rational bound: render as an integer ceiling/floor division.
-        from ..linalg.rational import lcm_many
-
-        scale = lcm_many(denominators)
         scaled = self._expression(expression * scale)
         if is_lower:
             return f"ceild({scaled}, {scale})"

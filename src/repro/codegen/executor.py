@@ -1,7 +1,7 @@
 """Execution of generated ASTs on numpy arrays.
 
-The executor interprets the scanning AST produced by the code generator,
-running each statement's Python body on concrete arrays.  It is the ground
+The executor runs the scanning AST produced by the code generator, calling
+each statement's Python body on concrete arrays.  It is the ground
 truth used by the test-suite to validate that transformed schedules preserve
 the kernel semantics, and it doubles as the memory-trace source for the cache
 simulator (via the ``on_instance`` hook).
@@ -9,7 +9,6 @@ simulator (via the ``on_instance`` hook).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -41,7 +40,17 @@ class ExecutionStats:
 
 
 class Executor:
-    """Interpret a scanning AST over a dictionary of numpy arrays."""
+    """Execute a scanning AST over a dictionary of numpy arrays.
+
+    :meth:`run` lowers the AST once into nested Python closures over exact
+    integers, then calls the root closure.  Every affine expression becomes
+    its numerator over one positive common denominator
+    (:attr:`AffineExpr.integer_form`), with the parameter values folded into
+    the constant, so loop bounds are integer floor divisions, guards are sign
+    tests and iterator recovery is an exact remainder test.  Loop variables
+    live in slots of one integer list that the closures index directly; names
+    are resolved to slots while lowering, and no source text is generated.
+    """
 
     def __init__(
         self,
@@ -54,105 +63,263 @@ class Executor:
         self.on_instance = on_instance
         self.stats = ExecutionStats()
 
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
     def run(self, root: Node, arrays: dict[str, np.ndarray]) -> ExecutionStats:
         """Execute the AST on *arrays* (modified in place) and return statistics."""
         self.stats = ExecutionStats()
-        values: dict[str, int] = dict(self.parameter_values)
-        self._execute(root, arrays, values)
+        scope = _Scope.of_parameters(self.parameter_values)
+        program = _Lowering(self, arrays).sequence([root], scope)
+        if program is not None:
+            program()
         return self.stats
 
-    # ------------------------------------------------------------------ #
-    # Interpretation
-    # ------------------------------------------------------------------ #
-    def _execute(self, node: Node, arrays: dict[str, np.ndarray], values: dict[str, int]) -> None:
+
+# A lowered expression: an int when it folds to a constant, else a closure.
+_Value = int | Callable[[], int]
+_Action = Callable[[], None]
+
+
+class _Scope:
+    """Name resolution while lowering: each bound name maps to an ``env`` slot.
+
+    Slots ``0..P-1`` hold the parameters and are folded into constants; a
+    loop variable gets a fresh slot, visible in the loop body only.
+    """
+
+    def __init__(self, env: list[int], n_parameters: int, slots: dict[str, int]):
+        self.env = env
+        self.n_parameters = n_parameters
+        self.slots = slots
+
+    @classmethod
+    def of_parameters(cls, parameters: Mapping[str, int]) -> "_Scope":
+        slots = {name: slot for slot, name in enumerate(parameters)}
+        return cls(list(parameters.values()), len(parameters), slots)
+
+    def bind(self, name: str) -> "_Scope":
+        """The scope of a loop body: *name* bound to a fresh slot."""
+        self.env.append(0)
+        return _Scope(self.env, self.n_parameters, {**self.slots, name: len(self.env) - 1})
+
+    def numerator(self, expression: AffineExpr) -> tuple[_Value, int]:
+        """The expression's numerator as a lowered value, and its denominator."""
+        constant, terms, denominator = expression.integer_form
+        env, slots = self.env, self.slots
+        linear = []
+        for name, coefficient in terms:
+            slot = slots.get(name)
+            if slot is None:
+                return _unbound(name), denominator
+            if slot < self.n_parameters:
+                constant += coefficient * env[slot]
+            else:
+                linear.append((coefficient, slot))
+        return _linear(env, constant, linear), denominator
+
+
+class _Lowering:
+    """Builds the closures of one :meth:`Executor.run`."""
+
+    def __init__(self, executor: Executor, arrays: dict[str, np.ndarray]):
+        self.stats = executor.stats
+        self.arrays = arrays
+        self.parameter_values = dict(executor.parameter_values)
+        self.on_instance = executor.on_instance
+
+    def sequence(self, nodes: list[Node], scope: _Scope) -> _Action | None:
+        """One closure running *nodes* in order (``None`` when there is nothing to run)."""
+        actions = [action for action in (self.node(node, scope) for node in nodes) if action]
+        if not actions:
+            return None
+        if len(actions) == 1:
+            return actions[0]
+        actions = tuple(actions)
+
+        def block() -> None:
+            for action in actions:
+                action()
+
+        return block
+
+    def node(self, node: Node, scope: _Scope) -> _Action | None:
         if isinstance(node, BlockNode):
-            for child in node.body:
-                self._execute(child, arrays, values)
-        elif isinstance(node, LoopNode):
-            self._execute_loop(node, arrays, values)
-        elif isinstance(node, GuardNode):
-            self.stats.guard_checks += 1
-            if all(constraint.is_satisfied(values) for constraint in node.conditions):
-                for child in node.body:
-                    self._execute(child, arrays, values)
-            else:
-                self.stats.guard_failures += 1
-        elif isinstance(node, CallNode):
-            self._execute_call(node, arrays, values)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown AST node {type(node).__name__}")
+            return self.sequence(node.body, scope)
+        if isinstance(node, LoopNode):
+            return self.loop(node, scope)
+        if isinstance(node, GuardNode):
+            return self.guard(node, scope)
+        if isinstance(node, CallNode):
+            return self.call(node, scope)
+        raise TypeError(f"unknown AST node {type(node).__name__}")
 
-    def _execute_loop(
-        self, node: LoopNode, arrays: dict[str, np.ndarray], values: dict[str, int]
-    ) -> None:
-        lower = self._lower_bound(node, values)
-        upper = self._upper_bound(node, values)
-        if lower is None or upper is None:
-            return
-        if node.is_parallel:
-            entry = self.stats.parallel_loops.setdefault(node.variable, [0, 0])
-            entry[0] += 1
-            entry[1] += max(0, upper - lower + 1)
-        for value in range(lower, upper + 1):
-            if node.is_statement_loop:
-                self.stats.statement_loop_iterations += 1
-            else:
-                self.stats.loop_iterations += 1
-            values[node.variable] = value
-            for child in node.body:
-                self._execute(child, arrays, values)
-        values.pop(node.variable, None)
-
-    def _lower_bound(self, node: LoopNode, values: Mapping[str, int]) -> int | None:
-        groups = node.lower_bound_groups or [node.lower_bounds]
-        candidates = []
-        for group in groups:
-            if not group:
-                continue
-            candidates.append(max(_ceil(expr, values) for expr in group))
-        if not candidates:
+    def loop(self, node: LoopNode, scope: _Scope) -> _Action | None:
+        # Range [min over groups of max(ceil(lb)), max over groups of min(floor(ub))].
+        lowers = [
+            _fold([_ceil(*scope.numerator(bound)) for bound in group], max)
+            for group in node.lower_bound_groups or [node.lower_bounds]
+            if group
+        ]
+        uppers = [
+            _fold([_floor(*scope.numerator(bound)) for bound in group], min)
+            for group in node.upper_bound_groups or [node.upper_bounds]
+            if group
+        ]
+        if not lowers or not uppers:
             return None
-        return min(candidates)
+        lower, upper = _closure(_fold(lowers, min)), _closure(_fold(uppers, max))
+        inner = scope.bind(node.variable)
+        env, slot = inner.env, inner.slots[node.variable]
+        body = self.sequence(node.body, inner)
+        stats = self.stats
+        variable, is_statement_loop = node.variable, node.is_statement_loop
+        parallel_loops = stats.parallel_loops if node.is_parallel else None
 
-    def _upper_bound(self, node: LoopNode, values: Mapping[str, int]) -> int | None:
-        groups = node.upper_bound_groups or [node.upper_bounds]
-        candidates = []
-        for group in groups:
-            if not group:
-                continue
-            candidates.append(min(_floor(expr, values) for expr in group))
-        if not candidates:
-            return None
-        return max(candidates)
-
-    def _execute_call(
-        self, node: CallNode, arrays: dict[str, np.ndarray], values: dict[str, int]
-    ) -> None:
-        instance_values: dict[str, int] = dict(self.parameter_values)
-        for iterator, expression in node.iterator_values.items():
-            value = expression.evaluate(values)
-            if value.denominator != 1:  # pragma: no cover - guards prevent this
+        def loop() -> None:
+            low, high = lower(), upper()
+            trips = high - low + 1
+            if parallel_loops is not None:
+                entry = parallel_loops.get(variable)
+                if entry is None:
+                    entry = parallel_loops[variable] = [0, 0]
+                entry[0] += 1
+                entry[1] += max(0, trips)
+            if trips <= 0:
                 return
-            instance_values[iterator] = int(value)
+            if is_statement_loop:
+                stats.statement_loop_iterations += trips
+            else:
+                stats.loop_iterations += trips
+            if body is not None:
+                for value in range(low, high + 1):
+                    env[slot] = value
+                    body()
+
+        return loop
+
+    def guard(self, node: GuardNode, scope: _Scope) -> _Action:
+        stats = self.stats
+        tests = []
+        for constraint in node.conditions:
+            numerator, _denominator = scope.numerator(constraint.expression)
+            if callable(numerator):
+                tests.append((numerator, constraint.is_equality))
+            elif numerator < 0 or (constraint.is_equality and numerator):
+                # A condition that folds to false: the guard never passes.
+                def never() -> None:
+                    stats.guard_checks += 1
+                    stats.guard_failures += 1
+
+                return never
+        tests = tuple(tests)
+        body = self.sequence(node.body, scope)
+
+        # The denominator is positive: the numerator's sign decides.
+        def guard() -> None:
+            stats.guard_checks += 1
+            for numerator, is_equality in tests:
+                value = numerator()
+                if value < 0 or (is_equality and value):
+                    stats.guard_failures += 1
+                    return
+            if body is not None:
+                body()
+
+        return guard
+
+    def call(self, node: CallNode, scope: _Scope) -> _Action:
         statement = node.statement
-        self.stats.instances += 1
-        self.stats.per_statement[statement.name] = (
-            self.stats.per_statement.get(statement.name, 0) + 1
+        iterators = tuple(
+            (name, _closure(_exact(statement.name, name, *scope.numerator(expression))))
+            for name, expression in node.iterator_values.items()
         )
-        if self.on_instance is not None:
-            self.on_instance(statement, instance_values)
-        statement.execute(arrays, instance_values)
+        parameter_values, arrays, hook = self.parameter_values, self.arrays, self.on_instance
+        stats = self.stats
+        per_statement, statement_name = stats.per_statement, statement.name
+
+        def call() -> None:
+            values = parameter_values.copy()
+            for name, value in iterators:
+                values[name] = value()
+            stats.instances += 1
+            per_statement[statement_name] = per_statement.get(statement_name, 0) + 1
+            if hook is not None:
+                hook(statement, values)
+            statement.execute(arrays, values)
+
+        return call
 
 
-def _ceil(expression: AffineExpr, values: Mapping[str, int]) -> int:
-    return math.ceil(expression.evaluate(values))
+def _linear(env: list[int], constant: int, terms: list[tuple[int, int]]) -> _Value:
+    """``constant + sum(coefficient * env[slot])``: an int without terms, else a closure."""
+    if not terms:
+        return constant
+    pairs = tuple(terms)
+
+    def linear() -> int:
+        total = constant
+        for coefficient, slot in pairs:
+            total += coefficient * env[slot]
+        return total
+
+    return linear
 
 
-def _floor(expression: AffineExpr, values: Mapping[str, int]) -> int:
-    return math.floor(expression.evaluate(values))
+def _unbound(name: str) -> Callable[[], int]:
+    def unbound() -> int:
+        raise KeyError(f"no value provided for dimension {name!r}")
+
+    return unbound
+
+
+def _closure(value: _Value) -> Callable[[], int]:
+    return value if callable(value) else (lambda: value)
+
+
+def _ceil(numerator: _Value, denominator: int) -> _Value:
+    if denominator == 1:
+        return numerator
+    if not callable(numerator):
+        return -(-numerator // denominator)
+    return lambda: -(-numerator() // denominator)
+
+
+def _floor(numerator: _Value, denominator: int) -> _Value:
+    if denominator == 1:
+        return numerator
+    if not callable(numerator):
+        return numerator // denominator
+    return lambda: numerator() // denominator
+
+
+def _exact(statement: str, iterator: str, numerator: _Value, denominator: int) -> _Value:
+    """The iterator value ``numerator / denominator``; a non-integral value raises."""
+    if denominator == 1:
+        return numerator
+    numerator = _closure(numerator)
+
+    def exact() -> int:
+        value = numerator()
+        if value % denominator:
+            raise ValueError(
+                f"statement {statement}: iterator {iterator!r} takes the non-integral "
+                f"value {Fraction(value, denominator)}"
+            )
+        return value // denominator
+
+    return exact
+
+
+def _fold(values: list[_Value], pick: Callable[[int, int], int]) -> _Value:
+    """``pick`` (``max`` or ``min``) over lowered values, constants folded first."""
+    constants = [value for value in values if not callable(value)]
+    closures = [value for value in values if callable(value)]
+    if constants:
+        if not closures:
+            return pick(constants)
+        closures.append(_closure(pick(constants)))
+    if len(closures) == 1:
+        return closures[0]
+    closures = tuple(closures)
+    return lambda: pick([closure() for closure in closures])
 
 
 # ---------------------------------------------------------------------- #

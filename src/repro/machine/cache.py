@@ -48,24 +48,27 @@ class CacheLevel:
 
     def __init__(self, spec: CacheLevelSpec):
         self.spec = spec
+        # The geometry is read on every access: resolve it once.
+        self.line_bytes = spec.line_bytes
+        self.n_sets = spec.n_sets
+        self.associativity = spec.associativity
         self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(spec.n_sets)
+            OrderedDict() for _ in range(self.n_sets)
         ]
         self.hits = 0
         self.misses = 0
 
     def access(self, address: int) -> bool:
         """Access one byte address; returns True on hit (line loaded on miss)."""
-        line = address // self.spec.line_bytes
-        index = line % self.spec.n_sets
-        ways = self._sets[index]
+        line = address // self.line_bytes
+        ways = self._sets[line % self.n_sets]
         if line in ways:
             ways.move_to_end(line)
             self.hits += 1
             return True
         self.misses += 1
         ways[line] = None
-        if len(ways) > self.spec.associativity:
+        if len(ways) > self.associativity:
             ways.popitem(last=False)
         return False
 
@@ -122,9 +125,7 @@ class CacheHierarchy:
     def total_latency(self) -> int:
         """Total access latency in cycles accumulated so far."""
         cycles = 0
-        previous_misses: int | None = None
-        for position, level in enumerate(self.levels):
-            served = level.hits
-            cycles += served * level.spec.latency_cycles
+        for level in self.levels:
+            cycles += level.hits * level.spec.latency_cycles
         cycles += self.memory_accesses * self.memory_latency_cycles
         return cycles

@@ -30,6 +30,7 @@ from ..codegen.generator import generate_ast
 from ..model.schedule import Schedule
 from ..model.scop import Scop
 from ..model.statement import Statement
+from ..obs import active_tracer
 from ..transform.tiling import TilingSpec
 from .machine import MachineModel
 from .trace import MemoryTraceCollector
@@ -83,13 +84,40 @@ class CostModel:
     ) -> PerformanceReport:
         """Generate, execute and cost the scheduled kernel."""
         machine = self.machine
+        tracer = active_tracer()
         root = ast if ast is not None else generate_ast(scop, schedule, tiling)
         hierarchy = machine.hierarchy()
         collector = MemoryTraceCollector(scop, hierarchy, parameter_values)
         executor = Executor(scop, parameter_values, on_instance=collector)
         arrays = scop.allocate_arrays(parameter_values)
-        stats = executor.run(root, arrays)
+        with tracer.span("evaluate.execute", category="machine", kernel=scop.name) as span:
+            stats = executor.run(root, arrays)
+            if tracer.enabled:
+                span.update(
+                    {
+                        "instances": stats.instances,
+                        "loop_iterations": stats.loop_iterations,
+                        "guard_checks": stats.guard_checks,
+                        "accesses": collector.accesses,
+                    }
+                )
+        with tracer.span("evaluate.cost", category="machine", kernel=scop.name) as span:
+            report = self._report(scop, schedule, stats, collector)
+            if tracer.enabled:
+                for level, counters in hierarchy.statistics().items():
+                    for counter, value in counters.items():
+                        span.set(f"{level}.{counter}", value)
+        return report
 
+    def _report(
+        self,
+        scop: Scop,
+        schedule: Schedule,
+        stats: ExecutionStats,
+        collector: MemoryTraceCollector,
+    ) -> PerformanceReport:
+        """Combine the execution and cache statistics into the cycle estimate."""
+        machine = self.machine
         vectorized = {
             statement.name: self._is_vectorized(statement, schedule)
             for statement in scop.statements

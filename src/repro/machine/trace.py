@@ -4,7 +4,8 @@ The trace collector is an ``on_instance`` hook for the executor: for every
 executed statement instance it computes the byte address of each array access
 (arrays are laid out contiguously, row-major, 8 bytes per element) and feeds it
 to a cache hierarchy, accumulating per-level hit/miss counts and per-statement
-access counts used by the cost model.
+access counts used by the cost model.  Each statement's accesses are resolved
+to their array base and strides once, on its first instance.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from ..model.access import ArrayAccess
 from ..model.scop import Scop
 from ..model.statement import Statement
 from .cache import CacheHierarchy
@@ -44,6 +46,7 @@ class MemoryTraceCollector:
         self.accesses = 0
         self.vector_accesses = 0
         self.statement_accesses: dict[str, int] = {}
+        self._plans: dict[str, tuple[tuple[ArrayAccess, int, tuple[int, ...]], ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Layout
@@ -69,20 +72,30 @@ class MemoryTraceCollector:
     # ------------------------------------------------------------------ #
     def __call__(self, statement: Statement, values: Mapping[str, int]) -> None:
         """Record the accesses of one statement instance."""
+        plan = self._plans.get(statement.name)
+        if plan is None:
+            plan = self._plans[statement.name] = self._plan(statement)
+        if not plan:
+            return
+        access = self.hierarchy.access
+        for array_access, base, strides in plan:
+            offset = 0
+            for index, stride in zip(array_access.evaluate(values), strides):
+                offset += index * stride
+            access(base + offset * _ELEMENT_BYTES)
+        self.accesses += len(plan)
+        self.statement_accesses[statement.name] = (
+            self.statement_accesses.get(statement.name, 0) + len(plan)
+        )
+
+    def _plan(self, statement: Statement) -> tuple[tuple[ArrayAccess, int, tuple[int, ...]], ...]:
+        """The statement's accesses to laid-out arrays, with their base and strides."""
+        plan = []
         for access in statement.accesses:
             layout = self.layouts.get(access.array)
-            if layout is None:
-                continue
-            indices = access.evaluate(values)
-            offset = 0
-            for index, stride in zip(indices, layout.strides):
-                offset += int(index) * stride
-            address = layout.base + offset * _ELEMENT_BYTES
-            self.hierarchy.access(address)
-            self.accesses += 1
-            self.statement_accesses[statement.name] = (
-                self.statement_accesses.get(statement.name, 0) + 1
-            )
+            if layout is not None:
+                plan.append((access, layout.base, layout.strides))
+        return tuple(plan)
 
     # ------------------------------------------------------------------ #
     # Reporting

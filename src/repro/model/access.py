@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ..polyhedra.affine import AffineExpr
@@ -67,10 +68,15 @@ class ArrayAccess:
         """Concrete subscript values for a full iterator/parameter assignment."""
         result = []
         for index in self.indices:
-            value = index.evaluate(values)
-            if value.denominator != 1:
-                raise ValueError(f"non-integral subscript {index} = {value}")
-            result.append(int(value))
+            numerator, terms, denominator = index.integer_form
+            for name, coefficient in terms:
+                numerator += coefficient * values[name]
+            value, remainder = divmod(numerator, denominator)
+            if remainder:
+                raise ValueError(
+                    f"non-integral subscript {index} = {Fraction(numerator, denominator)}"
+                )
+            result.append(value)
         return tuple(result)
 
     def contiguous_iterator(self) -> str | None:

@@ -280,7 +280,7 @@ class CodegenStage:
     def run(self, context: PipelineContext) -> None:
         if context.schedule is None:
             raise ConfigurationError("the 'codegen' stage needs a schedule to scan")
-        context.ast = generate_ast(context.scop, context.schedule)
+        context.ast = generate_ast(context.scop, context.schedule, context.tiling)
         context.generated_c = to_c(context.scop, context.ast)
 
 
@@ -295,8 +295,14 @@ class EvaluateStage:
             return
         if context.schedule is None:
             raise ConfigurationError("the 'evaluate' stage needs a schedule to simulate")
+        # Cost the code the codegen stage emitted; without that stage
+        # (``EXPERIMENT_STAGES``) ``context.ast`` is None and evaluate builds it.
         context.report = CostModel(context.machine).evaluate(
-            context.scop, context.schedule, context.tiling, context.parameter_values
+            context.scop,
+            context.schedule,
+            context.tiling,
+            context.parameter_values,
+            ast=context.ast,
         )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from ..linalg.rational import Rational, as_fraction, lcm_many
@@ -142,12 +143,23 @@ class AffineExpr:
             total += coeff * as_fraction(values[name])
         return total
 
-    def scaled_to_integers(self) -> "AffineExpr":
-        """The expression multiplied by the common denominator of its coefficients."""
-        denominators = [v.denominator for v in self.coefficients.values()]
-        denominators.append(self.constant.denominator)
-        factor = lcm_many(denominators)
-        return self * factor
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[tuple[str, int], ...], int]:
+        """The expression over one positive common denominator, computed once.
+
+        ``(constant, ((name, coefficient), ...), denominator)`` with integer
+        entries and ``denominator > 0``, such that the expression equals
+        ``(constant + sum(coefficient * name)) / denominator``.  Because the
+        denominator is positive, the sign of the numerator is the sign of the
+        expression, and ``ceil``/``floor`` are exact integer floor divisions.
+        """
+        denominator = lcm_many(
+            value.denominator for value in (*self.coefficients.values(), self.constant)
+        )
+        terms = tuple(
+            (name, int(value * denominator)) for name, value in self.coefficients.items()
+        )
+        return int(self.constant * denominator), terms, denominator
 
     def __str__(self) -> str:
         parts: list[str] = []

@@ -273,6 +273,48 @@ class TestPipelineTracing:
 
 
 # --------------------------------------------------------------------------- #
+# Evaluate-stage spans
+# --------------------------------------------------------------------------- #
+class TestEvaluateTracing:
+    def test_evaluate_spans_carry_exact_counters(self):
+        from repro.codegen import Executor
+        from repro.codegen.generator import generate_ast
+        from repro.machine import intel_xeon_silver_4215
+
+        machine = intel_xeon_silver_4215()
+        plain = Session(machine).compile(build_gemm(8, 8, 8))
+        tracer = Tracer()
+        scop = build_gemm(8, 8, 8)
+        traced = Session(machine, tracer=tracer).compile(scop)
+        assert traced.cycles == plain.cycles  # bit-identical, tracing on or off
+        assert traced.report.cache_statistics == plain.report.cache_statistics
+
+        records = {record.span_id: record for record in tracer.records}
+        (execute,) = [r for r in records.values() if r.name == "evaluate.execute"]
+        (cost,) = [r for r in records.values() if r.name == "evaluate.cost"]
+        assert records[execute.parent_id].name == "stage.evaluate"
+        assert records[cost.parent_id].name == "stage.evaluate"
+
+        ast = generate_ast(scop, traced.schedule, traced.tiling)
+        stats = Executor(scop).run(ast, scop.allocate_arrays())
+        cache = traced.report.cache_statistics
+        assert execute.counters == {
+            "kernel": "gemm",
+            "instances": stats.instances,
+            "loop_iterations": stats.loop_iterations,
+            "guard_checks": stats.guard_checks,
+            "accesses": cache["accesses"],
+        }
+        assert stats.instances == traced.report.instances
+        expected = {"kernel": "gemm"}
+        for level, counters in cache["levels"].items():
+            for counter, value in counters.items():
+                expected[f"{level}.{counter}"] = value
+        assert cost.counters == expected
+        assert {"L1.hits", "L1.misses", "memory.accesses"} <= set(cost.counters)
+
+
+# --------------------------------------------------------------------------- #
 # Per-context FM statistics (the FM_STATS race regression)
 # --------------------------------------------------------------------------- #
 class TestFmStatisticsIsolation:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.machine import intel_xeon_silver_4215
+from repro.machine import CostModel, intel_xeon_silver_4215
 from repro.pipeline import (
     DEFAULT_STAGES,
     EXPERIMENT_STAGES,
@@ -50,6 +50,31 @@ class TestCompile:
         assert result.cycles and result.cycles > 0
         assert set(DEFAULT_STAGES) <= set(result.stage_timings)
         assert "pluto-style" in result.summary()
+
+    def test_tiled_compile_costs_the_code_it_emits(self, gemm_scop, monkeypatch):
+        import repro.machine.cost_model as cost_model
+        import repro.pipeline.stages as stages
+
+        built = []
+
+        def counting(original):
+            def generate(*args, **kwargs):
+                built.append(args)
+                return original(*args, **kwargs)
+
+            return generate
+
+        monkeypatch.setattr(stages, "generate_ast", counting(stages.generate_ast))
+        monkeypatch.setattr(cost_model, "generate_ast", counting(cost_model.generate_ast))
+        config = pluto_style()
+        config.tile_sizes = (4, 4, 4)
+        session = Session(machine=intel_xeon_silver_4215())
+        result = session.compile(gemm_scop, config)
+        assert len(built) == 1  # codegen builds the AST; evaluate reuses it
+        assert result.tiling is not None
+        assert "for (int tt" in result.generated_c
+        fresh = CostModel(session.machine).evaluate(gemm_scop, result.schedule, result.tiling)
+        assert result.report.cycles == fresh.cycles
 
     def test_compile_without_machine_skips_evaluation(self, gemm_scop):
         session = Session()  # no machine model anywhere
