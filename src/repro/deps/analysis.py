@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..linalg.varspace import VariableSpace
 from ..model.access import ArrayAccess
 from ..model.scop import Scop
 from ..model.statement import Statement
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
 from ..polyhedra.emptiness import BatchProbe
+from ..polyhedra.fourier_motzkin import constraint_rows
 from ..polyhedra.polyhedron import Polyhedron
 from ..polyhedra.space import Space
 from .dependence import SOURCE_SUFFIX, TARGET_SUFFIX, Dependence, DependenceKind
@@ -40,14 +42,7 @@ def deduplicate_dependences(dependences: Sequence[Dependence]) -> list[Dependenc
         signature = (
             dependence.source,
             dependence.target,
-            frozenset(
-                (
-                    constraint.kind,
-                    frozenset(constraint.expression.coefficients.items()),
-                    constraint.expression.constant,
-                )
-                for constraint in dependence.polyhedron.constraints
-            ),
+            dependence.polyhedron.row_signature(),
         )
         if signature in seen:
             continue
@@ -66,6 +61,11 @@ class DependenceAnalysis:
     probe counters of the last run stay readable on
     :attr:`last_probe_statistics` (the pipeline's dependence stage reports
     them as a diagnostic).
+
+    :attr:`last_statistics` adds the deterministic work counters of the last
+    run: ``access_pairs`` (access pairs analysed), ``polyhedra`` (level
+    polyhedra built, one per pair and original depth) and ``rows_admitted``
+    (constraint rows those polyhedra kept after simplification).
     """
 
     include_flow: bool = True
@@ -74,14 +74,18 @@ class DependenceAnalysis:
 
     def __post_init__(self) -> None:
         self.last_probe_statistics: dict[str, int] = {}
+        self.last_statistics: dict[str, int] = {}
+        self._counters: dict[str, int] = {}
 
     def run(self, scop: Scop) -> list[Dependence]:
         probe = BatchProbe()
+        self._counters = dict.fromkeys(("access_pairs", "polyhedra", "rows_admitted"), 0)
         dependences: list[Dependence] = []
         for source in scop.statements:
             for target in scop.statements:
                 dependences.extend(self._statement_pair(scop, source, target, probe))
         self.last_probe_statistics = probe.statistics()
+        self.last_statistics = {**self._counters, **self.last_probe_statistics}
         return dependences
 
     # ------------------------------------------------------------------ #
@@ -133,20 +137,28 @@ class DependenceAnalysis:
             scop.parameters,
         )
 
-        base_constraints: list[AffineConstraint] = []
-        base_constraints.extend(
-            constraint.rename(source_map) for constraint in source.domain.constraints
-        )
-        base_constraints.extend(
-            constraint.rename(target_map) for constraint in target.domain.constraints
-        )
-        base_constraints.extend(scop.context)
-        for source_index, target_index in zip(source_access.indices, target_access.indices):
-            base_constraints.append(
-                AffineConstraint.equals(
-                    source_index.rename(source_map), target_index.rename(target_map)
-                )
+        # The rows of every level polyhedron are built once over one growing
+        # column space: both domains, the context, the subscript equalities,
+        # then per depth the earlier levels' equalities and this level's
+        # strict difference.  Names are interned in that order of first
+        # appearance, exactly as when the level's constraints are listed.
+        columns = VariableSpace()
+        base_rows = source.domain.rows_in(columns, source_map)
+        base_rows.extend(target.domain.rows_in(columns, target_map))
+        base_rows.extend(constraint_rows(scop.context, columns))
+        base_rows.extend(
+            constraint_rows(
+                (
+                    AffineConstraint.equals(
+                        source_index.rename(source_map), target_index.rename(target_map)
+                    )
+                    for source_index, target_index in zip(
+                        source_access.indices, target_access.indices
+                    )
+                ),
+                columns,
             )
+        )
 
         source_rows = _padded_rows(source.original_schedule, scop)
         target_rows = _padded_rows(target.original_schedule, scop)
@@ -154,14 +166,19 @@ class DependenceAnalysis:
         source_rows = _pad(source_rows, n_levels)
         target_rows = _pad(target_rows, n_levels)
 
-        prefix_equalities: list[AffineConstraint] = []
+        self._counters["access_pairs"] += 1
+        prefix_rows = []
         for depth in range(n_levels):
             difference = target_rows[depth].rename(target_map) - source_rows[depth].rename(
                 source_map
             )
-            level_constraints = list(base_constraints) + list(prefix_equalities)
-            level_constraints.append(AffineConstraint.greater_equal(difference, 1))
-            polyhedron = Polyhedron.from_constraints(combined_space, level_constraints)
+            level_rows = base_rows + prefix_rows
+            level_rows.extend(
+                constraint_rows([AffineConstraint.greater_equal(difference, 1)], columns)
+            )
+            polyhedron = Polyhedron.from_rows(combined_space, columns, level_rows)
+            self._counters["polyhedra"] += 1
+            self._counters["rows_admitted"] += polyhedron.n_constraints
             if not probe.is_integer_empty(polyhedron):
                 yield Dependence(
                     source=source.name,
@@ -175,7 +192,9 @@ class DependenceAnalysis:
                     source_access=source_access,
                     target_access=target_access,
                 )
-            prefix_equalities.append(AffineConstraint.equals(difference, 0))
+            prefix_rows.extend(
+                constraint_rows([AffineConstraint.equals(difference, 0)], columns)
+            )
 
 
 def _padded_rows(rows: Sequence[AffineExpr], scop: Scop) -> list[AffineExpr]:
@@ -202,13 +221,15 @@ def compute_dependences(
     With ``deduplicate=True`` dependences imposing identical scheduling
     constraints (same source, target and polyhedron, differing only by kind)
     are collapsed to one representative each.  Passing a dict as
-    ``probe_statistics`` fills it with the batched emptiness-probe counters
-    of the run (probe count, cache reuse hits, engine probes).
+    ``probe_statistics`` fills it with the run's counters
+    (:attr:`DependenceAnalysis.last_statistics`): the batched emptiness-probe
+    counters (probe count, trivial and cache reuse hits, engine probes) and
+    the analysis work (access pairs, polyhedra built, rows admitted).
     """
     analysis = DependenceAnalysis(include_flow, include_anti, include_output)
     dependences = analysis.run(scop)
     if probe_statistics is not None:
-        probe_statistics.update(analysis.last_probe_statistics)
+        probe_statistics.update(analysis.last_statistics)
     if deduplicate:
         return deduplicate_dependences(dependences)
     return dependences

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from ..linalg.rational import Rational, as_fraction
+from ..linalg.rational import Rational, as_exact, as_fraction, lcm_many
 
 __all__ = ["ConstraintSense", "LinearConstraint", "Variable", "LinearProblem", "LinearExprDict"]
 
@@ -52,18 +53,38 @@ class LinearConstraint:
         """Names of the variables referenced by the constraint."""
         return set(self.coefficients)
 
+    @cached_property
+    def integer_row(self) -> tuple[tuple[tuple[str, int], ...], int]:
+        """``(((name, a), ...), b)``: the constraint as ``sum(a * x) sense b``
+        over integers, scaled by the positive common denominator (computed
+        once)."""
+        scale = lcm_many(
+            [self.rhs.denominator, *(value.denominator for value in self.coefficients.values())]
+        )
+        terms = tuple(
+            (name, int(value * scale)) for name, value in self.coefficients.items()
+        )
+        return terms, int(self.rhs * scale)
+
     def evaluate(self, assignment: Mapping[str, Rational]) -> bool:
         """True when *assignment* satisfies the constraint."""
-        value = sum(
-            (as_fraction(coeff) * as_fraction(assignment.get(name, 0))
-             for name, coeff in self.coefficients.items()),
-            Fraction(0),
-        )
+        return self.holds({name: as_exact(value) for name, value in assignment.items()})
+
+    def holds(self, values: Mapping[str, int | Fraction]) -> bool:
+        """:meth:`evaluate` for values already given as ``int`` where integral.
+
+        Integer values keep the sum in integer arithmetic; a ``Fraction``
+        value (a continuous variable) is summed exactly.
+        """
+        terms, rhs = self.integer_row
+        value = 0
+        for name, coefficient in terms:
+            value += coefficient * values.get(name, 0)
         if self.sense is ConstraintSense.LE:
-            return value <= self.rhs
+            return value <= rhs
         if self.sense is ConstraintSense.GE:
-            return value >= self.rhs
-        return value == self.rhs
+            return value >= rhs
+        return value == rhs
 
     def __str__(self) -> str:
         terms = " + ".join(f"{coeff}*{name}" for name, coeff in sorted(self.coefficients.items()))
@@ -197,16 +218,23 @@ class LinearProblem:
         return list(self.variables)
 
     def is_feasible_assignment(self, assignment: Mapping[str, Rational]) -> bool:
-        """Check bounds, integrality and all constraints for *assignment*."""
+        """Check bounds, integrality and all constraints for *assignment*.
+
+        Every constraint is checked, in integer arithmetic over its cached
+        :attr:`LinearConstraint.integer_row`.
+        """
+        values: dict[str, int | Fraction] = {
+            name: as_exact(value) for name, value in assignment.items()
+        }
         for name, variable in self.variables.items():
-            value = as_fraction(assignment.get(name, 0))
+            value = values.get(name, 0)
             if variable.lower is not None and value < variable.lower:
                 return False
             if variable.upper is not None and value > variable.upper:
                 return False
-            if variable.is_integer and value.denominator != 1:
+            if variable.is_integer and type(value) is not int:
                 return False
-        return all(constraint.evaluate(assignment) for constraint in self.constraints)
+        return all(constraint.holds(values) for constraint in self.constraints)
 
     def copy(self) -> "LinearProblem":
         """A shallow-but-independent copy (constraints/objectives lists are new)."""

@@ -17,6 +17,7 @@ Rational = Fraction | int
 __all__ = [
     "Rational",
     "as_fraction",
+    "as_exact",
     "lcm",
     "lcm_many",
     "gcd_many",
@@ -24,6 +25,7 @@ __all__ = [
     "scale_to_integers",
     "normalize_integer_row",
     "is_integral",
+    "ratio_str",
 ]
 
 
@@ -32,6 +34,14 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def as_exact(value: Rational) -> int | Fraction:
+    """*value* as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(value) is int:
+        return value
+    value = as_fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def lcm(a: int, b: int) -> int:
@@ -91,3 +101,18 @@ def normalize_integer_row(values: Sequence[int]) -> list[int]:
 def is_integral(value: Rational) -> bool:
     """True when *value* is an integer-valued rational."""
     return as_fraction(value).denominator == 1
+
+
+def ratio_str(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` without building the Fraction.
+
+    *denominator* must be positive.
+    """
+    if denominator != 1:
+        divisor = gcd(numerator, denominator)
+        if divisor != 1:
+            numerator //= divisor
+            denominator //= divisor
+        if denominator != 1:
+            return f"{numerator}/{denominator}"
+    return str(numerator)

@@ -15,6 +15,15 @@ lets :class:`repro.polyhedra.sparse_fm.SparseSystem` detect duplicates and
 scalar multiples with a plain hash lookup.  Column indices refer to a
 :class:`~repro.linalg.varspace.VariableSpace` owned by the caller; this module
 never touches names.
+
+These rows are also the storage format of the polyhedra: a
+:class:`~repro.polyhedra.polyhedron.Polyhedron` holds its simplified
+``(SparseRow, is_equality)`` pairs over a tuple of column names, and an
+affine constraint is encoded from its integer numerator
+(:func:`repro.polyhedra.fourier_motzkin.constraint_rows`).  No rational form
+sits between a constraint system and the elimination core;
+:meth:`SparseRow.from_rational_terms` remains for callers that hold
+rational data.
 """
 
 from __future__ import annotations
@@ -62,6 +71,14 @@ class SparseRow:
                 else:
                     merged.pop(column, None)
         return cls._reduced(sorted(merged.items()), constant)
+
+    @classmethod
+    def from_terms(
+        cls, terms: Iterable[tuple[int, int]], constant: int
+    ) -> "SparseRow":
+        """Build from ``(column, value)`` pairs with distinct columns and
+        non-zero values, in any order (sorted and GCD-reduced here)."""
+        return cls._reduced(sorted(terms), constant)
 
     @classmethod
     def from_dense(cls, row: Sequence[int]) -> "SparseRow":
@@ -152,12 +169,6 @@ class SparseRow:
             dense[column] = value
         dense[width] = self.constant
         return dense
-
-    def decode(self, names: Sequence[str]) -> dict[str, Fraction]:
-        """Named ``{name: value}`` view (zeros omitted, constant excluded)."""
-        return {
-            names[column]: Fraction(value) for column, value in self.terms
-        }
 
     # ------------------------------------------------------------------ #
     # Arithmetic

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from typing import Mapping
 
+from ..linalg.rational import ratio_str
 from ..model.scop import Scop
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
@@ -32,9 +33,11 @@ __all__ = [
 
 
 def _expr_token(expression: AffineExpr) -> tuple:
+    # ``str`` of each rational coefficient, computed from the integer form.
+    constant, terms, denominator = expression.integer_form
     return (
-        tuple(sorted((name, str(value)) for name, value in expression.coefficients.items())),
-        str(expression.constant),
+        tuple(sorted((name, ratio_str(value, denominator)) for name, value in terms)),
+        ratio_str(constant, denominator),
     )
 
 

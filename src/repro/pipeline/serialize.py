@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from ..deps.dependence import Dependence, DependenceKind
+from ..linalg.rational import ratio_str
 from ..machine.cost_model import PerformanceReport
 from ..machine.machine import CacheLevelSpec, MachineModel
 from ..model.access import AccessKind, ArrayAccess
@@ -89,10 +90,6 @@ def _require(mapping: Any, key: str, kind: str) -> Any:
 # --------------------------------------------------------------------------- #
 # Fractions / affine expressions / constraints
 # --------------------------------------------------------------------------- #
-def _encode_fraction(value: Fraction) -> str:
-    return str(value)
-
-
 def _decode_fraction(value: Any) -> Fraction:
     if isinstance(value, bool):
         raise SerializationError("bad_fraction", f"not a rational number: {value!r}")
@@ -105,9 +102,11 @@ def _decode_fraction(value: Any) -> Fraction:
 
 
 def encode_expr(expression: AffineExpr) -> dict:
+    # Each rational is written as str(Fraction), computed from the integers.
+    constant, terms, denominator = expression.integer_form
     return {
-        "terms": {name: _encode_fraction(coeff) for name, coeff in sorted(expression.coefficients.items())},
-        "constant": _encode_fraction(expression.constant),
+        "terms": {name: ratio_str(value, denominator) for name, value in sorted(terms)},
+        "constant": ratio_str(constant, denominator),
     }
 
 

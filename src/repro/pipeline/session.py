@@ -191,7 +191,11 @@ class Session:
             return self._dependences[fingerprint]
 
     def dependence_probe_statistics(self, scop: Scop) -> dict[str, int]:
-        """Emptiness-probe counters of *scop*'s (cached) dependence analysis."""
+        """Counters of *scop*'s (cached) dependence analysis.
+
+        The emptiness-probe counters plus the analysis work counters of
+        :attr:`repro.deps.analysis.DependenceAnalysis.last_statistics`.
+        """
         with self._lock:
             return dict(self._probe_statistics.get(scop_fingerprint(scop), {}))
 

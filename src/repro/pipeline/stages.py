@@ -170,6 +170,13 @@ class DependenceStage:
     def run(self, context: PipelineContext) -> None:
         context.dependences = context.session.dependences(context.scop)
         probes = context.session.dependence_probe_statistics(context.scop)
+        tracer = active_tracer()
+        if tracer.enabled:
+            # The analysis counters (work and probe outcomes) go on the
+            # ``stage.dependences`` span, cached analyses included.
+            span = tracer.current_span()
+            if span is not None:
+                span.update(probes)
         if probes.get("emptiness_probes"):
             context.diagnostics.append(
                 "emptiness: {probes} probes via 1 batched engine context "

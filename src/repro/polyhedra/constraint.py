@@ -7,7 +7,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from ..linalg.rational import Rational, as_fraction, gcd_many, lcm_many
+from ..linalg.rational import Rational, as_fraction, gcd_many
 from .affine import AffineExpr
 
 __all__ = ["ConstraintKind", "AffineConstraint"]
@@ -65,16 +65,16 @@ class AffineConstraint:
 
     def is_trivially_true(self) -> bool:
         """Constant constraints that always hold (e.g. ``3 >= 0`` or ``0 == 0``)."""
-        if not self.expression.is_constant():
+        constant, terms, _ = self.expression.integer_form
+        if terms:
             return False
-        constant = self.expression.constant
         return constant == 0 if self.is_equality else constant >= 0
 
     def is_trivially_false(self) -> bool:
         """Constant constraints that can never hold (e.g. ``-1 >= 0``)."""
-        if not self.expression.is_constant():
+        constant, terms, _ = self.expression.integer_form
+        if terms:
             return False
-        constant = self.expression.constant
         return constant != 0 if self.is_equality else constant < 0
 
     # ------------------------------------------------------------------ #
@@ -88,22 +88,27 @@ class AffineConstraint:
 
     def normalized(self) -> "AffineConstraint":
         """Scale to coprime integer coefficients (direction preserved)."""
-        expr = self.expression
-        denominators = [v.denominator for v in expr.coefficients.values()]
-        denominators.append(expr.constant.denominator)
-        scale = lcm_many(denominators)
-        expr = expr * scale
-        numerators = [int(v) for v in expr.coefficients.values()] + [int(expr.constant)]
-        divisor = gcd_many(numerators)
+        constant, terms, _ = self.expression.integer_form
+        divisor = gcd_many([constant, *(value for _, value in terms)])
         if divisor > 1:
-            expr = expr * Fraction(1, divisor)
-        return AffineConstraint(expr, self.kind)
+            constant //= divisor
+            terms = tuple((name, value // divisor) for name, value in terms)
+        return AffineConstraint(AffineExpr._make(constant, terms, 1), self.kind)
 
     def negated_inequality(self) -> "AffineConstraint":
-        """For an inequality ``e >= 0``, the (integer) negation ``-e - 1 >= 0``."""
+        """For an inequality ``e >= 0``, its integer negation ``e <= -1``.
+
+        Over the integer numerator ``n = d * e`` (``d > 0``) the negation is
+        ``-n - 1 >= 0``: for ``x/2 >= 0`` that is ``-x - 1 >= 0``, which
+        every integer point violating the inequality satisfies.
+        """
         if self.is_equality:
             raise ValueError("cannot negate an equality into a single constraint")
-        return AffineConstraint(-self.expression - 1, ConstraintKind.INEQUALITY)
+        constant, terms, _ = self.expression.integer_form
+        negated = AffineExpr._make(
+            -constant - 1, tuple((name, -value) for name, value in terms), 1
+        )
+        return AffineConstraint(negated, ConstraintKind.INEQUALITY)
 
     def __str__(self) -> str:
         return f"{self.expression} {self.kind.value} 0"

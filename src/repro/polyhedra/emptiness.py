@@ -47,11 +47,13 @@ def _to_problem(polyhedron: Polyhedron) -> LinearProblem:
     problem = LinearProblem()
     for name in polyhedron.space.names:
         problem.add_variable(name, lower=None, upper=None, is_integer=True)
-    for constraint in polyhedron.constraints:
-        coefficients = dict(constraint.expression.coefficients)
-        rhs = -constraint.expression.constant
-        sense = ConstraintSense.EQ if constraint.is_equality else ConstraintSense.GE
-        problem.add_constraint(coefficients, sense, rhs)
+    names = polyhedron.column_names
+    for row, is_equality in polyhedron.rows:
+        problem.add_constraint(
+            {names[column]: value for column, value in row.terms},
+            ConstraintSense.EQ if is_equality else ConstraintSense.GE,
+            -row.constant,
+        )
     return problem
 
 
@@ -88,15 +90,7 @@ class BatchProbe:
 
     @staticmethod
     def _signature(polyhedron: Polyhedron) -> tuple:
-        constraints = frozenset(
-            (
-                constraint.kind,
-                frozenset(constraint.expression.coefficients.items()),
-                constraint.expression.constant,
-            )
-            for constraint in polyhedron.constraints
-        )
-        return (polyhedron.space.names, constraints)
+        return (polyhedron.space.names, polyhedron.row_signature())
 
     def find_integer_point(self, polyhedron: Polyhedron) -> dict[str, int] | None:
         """Some integer point of the polyhedron, or ``None`` when it is empty."""
@@ -118,7 +112,7 @@ class BatchProbe:
             "emptiness.probe",
             category="emptiness",
             dimensions=len(polyhedron.space.names),
-            constraints=len(polyhedron.constraints),
+            constraints=polyhedron.n_constraints,
         ) as span:
             solution = self.solver.solve(_to_problem(polyhedron))
             span.set("empty", solution is None)

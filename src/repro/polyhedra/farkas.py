@@ -32,7 +32,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ..linalg.rational import as_fraction
+from ..linalg.rational import as_fraction, lcm_many
 from ..linalg.sparse import SparseRow
 from ..linalg.varspace import VariableSpace, clear_denominators
 from ..obs import active_tracer
@@ -80,9 +80,8 @@ class FarkasResult:
     @property
     def constraints(self) -> list[AffineConstraint]:
         if self._constraints is None:
-            space = VariableSpace(self._names)
             self._constraints = sparse_to_constraints(
-                list(self._sparse_rows or ()), space
+                self._sparse_rows or (), self._names
             )
         return self._constraints
 
@@ -132,16 +131,21 @@ def farkas_nonnegative(
     (deprecated default — concurrent schedulers pass their per-run sink).
     """
     # One inequality per multiplier: equalities of the polyhedron contribute a
-    # +/- pair so that every multiplier is sign-constrained.
-    inequality_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    # +/- pair so that every multiplier is sign-constrained.  The rows are the
+    # polyhedron's own integer rows, laid out over the space's dimensions.
+    inequality_rows: list[tuple[tuple[int, ...], int]] = []
     dimension_names = polyhedron.space.names
-    for constraint in polyhedron.constraints:
-        expression = constraint.expression
-        coefficients = tuple(expression.coefficient(name) for name in dimension_names)
-        inequality_rows.append((coefficients, expression.constant))
-        if constraint.is_equality:
+    position = {name: index for index, name in enumerate(dimension_names)}
+    columns = [position.get(name) for name in polyhedron.column_names]
+    for row, is_equality in polyhedron.rows:
+        dense = [0] * len(dimension_names)
+        for column, value in row.terms:
+            dense[columns[column]] = value
+        coefficients = tuple(dense)
+        inequality_rows.append((coefficients, row.constant))
+        if is_equality:
             inequality_rows.append(
-                (tuple(-value for value in coefficients), -expression.constant)
+                (tuple(-value for value in coefficients), -row.constant)
             )
 
     tracer = active_tracer()
@@ -188,7 +192,7 @@ def farkas_nonnegative(
 # Sparse core
 # --------------------------------------------------------------------------- #
 def _farkas_sparse(
-    inequality_rows: list[tuple[tuple[Fraction, ...], Fraction]],
+    inequality_rows: list[tuple[tuple[int, ...], int]],
     dimension_names: Sequence[str],
     coefficient_templates: Mapping[str, LinearCombination],
     constant_template: LinearCombination,
@@ -212,6 +216,19 @@ def _farkas_sparse(
                 terms.append((n_multipliers + ilp_space.intern(name), value))
         return terms, constant
 
+    def matching_row(
+        pairs: list[tuple[int, int]], template: LinearCombination
+    ) -> SparseRow:
+        """The integer row ``pairs + template`` (template denominators cleared)."""
+        terms, constant = template_terms(template)
+        scale = lcm_many(
+            [constant.denominator, *(value.denominator for _, value in terms)]
+        )
+        if scale != 1:
+            pairs = [(column, value * scale) for column, value in pairs]
+        pairs.extend((column, int(value * scale)) for column, value in terms)
+        return SparseRow.from_terms(pairs, int(constant * scale))
+
     rows: list[SparseRow] = []
     kinds: list[bool] = []
 
@@ -222,25 +239,21 @@ def _farkas_sparse(
 
     # Coefficient matching for every dimension of the polyhedron.
     for position, dimension in enumerate(dimension_names):
-        terms, constant = template_terms(coefficient_templates.get(dimension, {}))
-        pairs: list[tuple[int, Fraction]] = [
+        pairs = [
             (index, -coefficients[position])
             for index, (coefficients, _) in enumerate(inequality_rows)
             if coefficients[position]
         ]
-        pairs.extend(terms)
-        rows.append(SparseRow.from_rational_terms(pairs, constant))
+        rows.append(matching_row(pairs, coefficient_templates.get(dimension, {})))
         kinds.append(True)
 
     # Constant matching: the residue equals lambda_0 >= 0, so an inequality suffices.
-    terms, constant = template_terms(constant_template)
     pairs = [
         (index, -row_constant)
         for index, (_, row_constant) in enumerate(inequality_rows)
         if row_constant
     ]
-    pairs.extend(terms)
-    rows.append(SparseRow.from_rational_terms(pairs, constant))
+    rows.append(matching_row(pairs, constant_template))
     kinds.append(False)
 
     system = SparseSystem.from_rows(rows, kinds, stats=stats)
@@ -268,7 +281,7 @@ def _farkas_sparse(
 # Retained dense core (REPRO_FM_CORE=dense)
 # --------------------------------------------------------------------------- #
 def _farkas_dense(
-    inequality_rows: list[tuple[tuple[Fraction, ...], Fraction]],
+    inequality_rows: list[tuple[tuple[int, ...], int]],
     dimension_names: Sequence[str],
     coefficient_templates: Mapping[str, LinearCombination],
     constant_template: LinearCombination,

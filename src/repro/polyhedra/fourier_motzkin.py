@@ -25,22 +25,28 @@ Two elimination cores implement this contract:
   :class:`repro.linalg.varspace.VariableSpace` plus the constant.  It is the
   reference the differential suite validates the sparse core against.
 
-``REPRO_FM_CORE=dense`` (or ``sparse``) selects the core process-wide; the
-public functions below speak :class:`AffineConstraint` and convert at the
-boundary (:func:`constraints_to_rows`/:func:`rows_to_constraints` are the
-dense conversion shims), while :func:`repro.polyhedra.farkas.farkas_nonnegative`
-feeds whichever core is active directly with indexed rows.
+``REPRO_FM_CORE=dense`` (or ``sparse``) selects the core process-wide.
+Constraint systems reach either core as integer rows without a rational
+detour: :class:`repro.polyhedra.polyhedron.Polyhedron` keeps its constraints
+as ``(SparseRow, is_equality)`` pairs and simplifies or projects them through
+:func:`simplify_sparse_rows`/:func:`eliminate_sparse_columns`, and
+:func:`constraint_rows` encodes an :class:`AffineConstraint` straight from
+its integer numerator (:attr:`AffineExpr.integer_form`).  The
+:class:`AffineConstraint` functions (:func:`simplify_constraints`,
+:func:`eliminate_variables`) encode, run the core and decode in one call;
+:func:`constraints_to_rows`/:func:`rows_to_constraints` are the dense core's
+named boundary.  :func:`repro.polyhedra.farkas.farkas_nonnegative` builds its
+multiplier system directly from a polyhedron's rows.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..linalg.sparse import SparseRow
-from ..linalg.varspace import VariableSpace, clear_denominators, reduce_integer_row
+from ..linalg.varspace import VariableSpace, reduce_integer_row
 from .affine import AffineExpr
 from .constraint import AffineConstraint, ConstraintKind
 from .sparse_fm import FM_STATS, FmStatistics, SparseSystem
@@ -52,10 +58,13 @@ __all__ = [
     "simplify_constraints",
     # Core selection
     "active_core",
+    # Integer rows
+    "constraint_rows",
+    "simplify_sparse_rows",
+    "eliminate_sparse_columns",
     # Indexed integer core (used directly by repro.polyhedra.farkas)
     "constraints_to_rows",
     "rows_to_constraints",
-    "constraints_to_sparse",
     "sparse_to_constraints",
     "simplify_rows",
     "eliminate_column",
@@ -105,29 +114,26 @@ def eliminate_variables(
     should pass their own :class:`FmStatistics`).
     """
     space = VariableSpace()
-    if active_core() == "sparse":
-        sparse_rows, kinds = constraints_to_sparse(constraints, space)
-        system = SparseSystem.from_rows(sparse_rows, kinds, stats=stats)
-        columns = [
-            column
-            for column in (space.get(name) for name in names)
-            if column is not None
-        ]
-        system.eliminate_columns(columns)
-        return sparse_to_constraints(system.rows(), space)
-    rows, kinds = constraints_to_rows(constraints, space)
+    sparse = active_core() == "sparse"
+    if sparse:
+        rows = constraint_rows(constraints, space)
+    else:
+        dense, kinds = constraints_to_rows(constraints, space)
     # Names absent from every constraint are already eliminated; interning
-    # them would alias the constant column of the rows built above.
+    # them would alias the constant column of the dense rows.
     columns = [
         column
         for column in (space.get(name) for name in names)
         if column is not None
     ]
+    if sparse:
+        rows = eliminate_sparse_columns(rows, len(space), columns, stats=stats)
+        return sparse_to_constraints(rows, space.names)
     if not columns:
-        rows, kinds = simplify_rows(rows, kinds, stats=stats)
+        dense, kinds = simplify_rows(dense, kinds, stats=stats)
     else:
-        rows, kinds = eliminate_columns(rows, kinds, columns, stats=stats)
-    return rows_to_constraints(rows, kinds, space)
+        dense, kinds = eliminate_columns(dense, kinds, columns, stats=stats)
+    return rows_to_constraints(dense, kinds, space)
 
 
 def simplify_constraints(
@@ -136,88 +142,136 @@ def simplify_constraints(
     """Normalise coefficients, drop duplicates/subsumed and trivially-true constraints."""
     space = VariableSpace()
     if active_core() == "sparse":
-        sparse_rows, kinds = constraints_to_sparse(constraints, space)
-        system = SparseSystem.from_rows(sparse_rows, kinds, stats=stats)
-        return sparse_to_constraints(system.rows(), space)
-    rows, kinds = constraints_to_rows(constraints, space)
-    rows, kinds = simplify_rows(rows, kinds, stats=stats)
-    return rows_to_constraints(rows, kinds, space)
+        rows = simplify_sparse_rows(
+            constraint_rows(constraints, space), len(space), stats=stats
+        )
+        return sparse_to_constraints(rows, space.names)
+    dense, kinds = constraints_to_rows(constraints, space)
+    dense, kinds = simplify_rows(dense, kinds, stats=stats)
+    return rows_to_constraints(dense, kinds, space)
 
 
 # --------------------------------------------------------------------------- #
-# Boundary conversions
+# Integer rows: encoding, decoding and the core dispatch
 # --------------------------------------------------------------------------- #
-def constraints_to_rows(
-    constraints: Sequence[AffineConstraint], space: VariableSpace
-) -> tuple[IndexedRows, RowKinds]:
-    """Intern every name of *constraints* into *space* and emit integer rows."""
-    for constraint in constraints:
-        for name in constraint.expression.coefficients:
-            space.intern(name)
-    width = len(space)
-    rows: IndexedRows = []
-    kinds: RowKinds = []
-    for constraint in constraints:
-        expression = constraint.expression
-        dense: list[Fraction] = [Fraction(0)] * (width + 1)
-        for name, value in expression.coefficients.items():
-            dense[space.index_of(name)] = value
-        dense[width] = expression.constant
-        rows.append(clear_denominators(dense))
-        kinds.append(constraint.is_equality)
-    return rows, kinds
+SparseRows = list[tuple[SparseRow, bool]]
 
 
-def rows_to_constraints(
-    rows: IndexedRows, kinds: RowKinds, space: VariableSpace
+def constraint_rows(
+    constraints: Iterable[AffineConstraint], space: VariableSpace
+) -> SparseRows:
+    """``(SparseRow, is_equality)`` pairs of *constraints* over *space*.
+
+    Names are interned in order of first appearance.  Each row is the
+    constraint's integer numerator (:attr:`AffineExpr.integer_form`; the
+    positive denominator does not change the half-space), GCD-reduced.
+    """
+    rows: SparseRows = []
+    for constraint in constraints:
+        constant, terms, _ = constraint.expression.integer_form
+        row = SparseRow.from_terms(
+            [(space.intern(name), value) for name, value in terms], constant
+        )
+        rows.append((row, constraint.kind is ConstraintKind.EQUALITY))
+    return rows
+
+
+def sparse_to_constraints(
+    rows: Iterable[tuple[SparseRow, bool]], names: Sequence[str]
 ) -> list[AffineConstraint]:
-    """Convert indexed integer rows back into :class:`AffineConstraint` objects."""
-    names = space.names
+    """Decode ``(SparseRow, is_equality)`` pairs over column *names*.
+
+    Each constraint lists its coefficients in column order.
+    """
     constraints: list[AffineConstraint] = []
-    for row, is_equality in zip(rows, kinds):
-        coefficients = {
-            names[column]: Fraction(value)
-            for column, value in enumerate(row[:-1])
-            if value != 0
-        }
-        expression = AffineExpr(coefficients, Fraction(row[-1]))
+    for row, is_equality in rows:
+        expression = AffineExpr._make(
+            row.constant,
+            tuple((names[column], value) for column, value in row.terms),
+            1,
+        )
         kind = ConstraintKind.EQUALITY if is_equality else ConstraintKind.INEQUALITY
         constraints.append(AffineConstraint(expression, kind))
     return constraints
 
 
-def constraints_to_sparse(
-    constraints: Sequence[AffineConstraint], space: VariableSpace
-) -> tuple[list[SparseRow], RowKinds]:
-    """Intern every name of *constraints* into *space* and emit sparse rows."""
-    for constraint in constraints:
-        for name in constraint.expression.coefficients:
-            space.intern(name)
-    rows: list[SparseRow] = []
-    kinds: RowKinds = []
-    for constraint in constraints:
-        expression = constraint.expression
-        rows.append(
-            SparseRow.from_rational_terms(
-                {
-                    space.index_of(name): value
-                    for name, value in expression.coefficients.items()
-                },
-                expression.constant,
-            )
+def simplify_sparse_rows(
+    rows: Sequence[tuple[SparseRow, bool]],
+    width: int,
+    stats: FmStatistics | None = None,
+) -> SparseRows:
+    """Simplify rows over *width* columns on the active core (order kept)."""
+    if active_core() == "sparse":
+        return SparseSystem.from_rows(
+            [row for row, _ in rows], [kind for _, kind in rows], stats=stats
+        ).rows()
+    dense, kinds = simplify_rows(
+        [row.to_dense(width) for row, _ in rows], [kind for _, kind in rows], stats=stats
+    )
+    return [(SparseRow.from_dense(row), kind) for row, kind in zip(dense, kinds)]
+
+
+def eliminate_sparse_columns(
+    rows: Sequence[tuple[SparseRow, bool]],
+    width: int,
+    columns: Sequence[int],
+    stats: FmStatistics | None = None,
+) -> SparseRows:
+    """Eliminate *columns* (cheapest first) on the active core."""
+    if active_core() == "sparse":
+        system = SparseSystem.from_rows(
+            [row for row, _ in rows], [kind for _, kind in rows], stats=stats
         )
-        kinds.append(constraint.is_equality)
-    return rows, kinds
+        system.eliminate_columns(columns)
+        return system.rows()
+    dense = [row.to_dense(width) for row, _ in rows]
+    kinds = [kind for _, kind in rows]
+    if not columns:
+        dense, kinds = simplify_rows(dense, kinds, stats=stats)
+    else:
+        dense, kinds = eliminate_columns(dense, kinds, columns, stats=stats)
+    return [(SparseRow.from_dense(row), kind) for row, kind in zip(dense, kinds)]
 
 
-def sparse_to_constraints(
-    rows: Sequence[tuple[SparseRow, bool]], space: VariableSpace
+# --------------------------------------------------------------------------- #
+# Dense-row conversions (the retained dense core's named boundary)
+# --------------------------------------------------------------------------- #
+def constraints_to_rows(
+    constraints: Sequence[AffineConstraint], space: VariableSpace
+) -> tuple[IndexedRows, RowKinds]:
+    """Intern every name of *constraints* into *space* and emit dense integer rows.
+
+    Each row is the constraint's integer numerator, not GCD-reduced: the
+    dense core reduces the rows it scans itself.
+    """
+    encoded = []
+    for constraint in constraints:
+        constant, terms, _ = constraint.expression.integer_form
+        encoded.append(
+            ([(space.intern(name), value) for name, value in terms], constant)
+        )
+    width = len(space)
+    rows: IndexedRows = []
+    for terms, constant in encoded:
+        dense = [0] * (width + 1)
+        for column, value in terms:
+            dense[column] = value
+        dense[width] = constant
+        rows.append(dense)
+    return rows, [constraint.is_equality for constraint in constraints]
+
+
+def rows_to_constraints(
+    rows: IndexedRows, kinds: RowKinds, space: VariableSpace
 ) -> list[AffineConstraint]:
-    """Convert ``(SparseRow, is_equality)`` pairs into :class:`AffineConstraint`."""
+    """Convert dense integer rows back into :class:`AffineConstraint` objects."""
     names = space.names
     constraints: list[AffineConstraint] = []
-    for row, is_equality in rows:
-        expression = AffineExpr(row.decode(names), Fraction(row.constant))
+    for row, is_equality in zip(rows, kinds):
+        terms = tuple(
+            (names[column], value) for column, value in enumerate(row[:-1]) if value
+        )
+        expression = AffineExpr._make(row[-1], terms, 1)
         kind = ConstraintKind.EQUALITY if is_equality else ConstraintKind.INEQUALITY
         constraints.append(AffineConstraint(expression, kind))
     return constraints

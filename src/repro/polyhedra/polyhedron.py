@@ -1,35 +1,87 @@
-"""Parametric integer polyhedra (conjunctions of affine constraints)."""
+"""Parametric integer polyhedra (conjunctions of affine constraints).
+
+A :class:`Polyhedron` stores its constraints as integer rows: a tuple of
+``(SparseRow, is_equality)`` pairs over a tuple of column names (the
+:class:`~repro.linalg.varspace.VariableSpace` the rows were built in).  Set
+operations work on those rows and hand them to the elimination core without
+a rational detour; :attr:`Polyhedron.constraints` is a view decoded on first
+use.
+
+Every operation that simplifies (``from_constraints``, ``add_constraints``,
+``intersect``, ``project_onto``, ``fix_dimensions``) interns the column
+names in order of first appearance over the rows it starts from, each row
+read in column order.  That is the order in which a decoded constraint lists
+its coefficients, so the result, down to coefficient order, is the one the
+same operation gives on the decoded constraints.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ..linalg.rational import Rational, as_fraction
+from ..linalg.rational import Rational, as_exact
+from ..linalg.sparse import SparseRow
+from ..linalg.varspace import VariableSpace
 from .affine import AffineExpr
-from .constraint import AffineConstraint, ConstraintKind
-from .fourier_motzkin import eliminate_variables, simplify_constraints
+from .constraint import AffineConstraint
+from .fourier_motzkin import (
+    constraint_rows,
+    eliminate_sparse_columns,
+    simplify_sparse_rows,
+    sparse_to_constraints,
+)
 from .space import Space
 
 __all__ = ["Polyhedron"]
 
+Rows = tuple[tuple[SparseRow, bool], ...]
 
-@dataclass(frozen=True)
+
 class Polyhedron:
-    """A set ``{ x | constraints(x, params) }`` over a named :class:`Space`."""
+    """A set ``{ x | constraints(x, params) }`` over a named :class:`Space`.
 
-    space: Space
-    constraints: tuple[AffineConstraint, ...] = field(default_factory=tuple)
+    ``Polyhedron(space, constraints)`` keeps *constraints* exactly as given
+    (no simplification), like the set-builder notation it mirrors; the
+    constructors and set operations below return simplified polyhedra.
+    """
 
-    def __post_init__(self) -> None:
-        known = set(self.space.names)
-        for constraint in self.constraints:
+    __slots__ = ("space", "_names", "_rows", "_constraints", "_given")
+
+    def __init__(self, space: Space, constraints: Iterable[AffineConstraint] = ()) -> None:
+        constraints = tuple(constraints)
+        known = set(space.names)
+        for constraint in constraints:
             unknown = constraint.variables() - known
             if unknown:
                 raise ValueError(
                     f"constraint {constraint} references unknown dimensions {sorted(unknown)}"
                 )
+        self.space = space
+        self._constraints: tuple[AffineConstraint, ...] | None = constraints
+        # Encoded on first use (see _encoded).
+        self._names: tuple[str, ...] | None = None
+        self._rows: Rows | None = None
+        #: True when the constraints were given as-is rather than derived
+        #: from rows: their view must then be kept verbatim.
+        self._given = True
+
+    @classmethod
+    def _from_rows(
+        cls,
+        space: Space,
+        names: Sequence[str],
+        rows: Iterable[tuple[SparseRow, bool]],
+        constraints: tuple[AffineConstraint, ...] | None = None,
+    ) -> "Polyhedron":
+        """Trusted constructor over rows whose names all belong to *space*."""
+        polyhedron = object.__new__(cls)
+        polyhedron.space = space
+        polyhedron._names = tuple(names)
+        polyhedron._rows = tuple(rows)
+        polyhedron._constraints = constraints
+        polyhedron._given = False
+        return polyhedron
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -43,14 +95,108 @@ class Polyhedron:
     def from_constraints(
         cls, space: Space, constraints: Iterable[AffineConstraint]
     ) -> "Polyhedron":
-        return cls(space, tuple(simplify_constraints(list(constraints))))
+        """The simplified polyhedron of *constraints* over *space*."""
+        columns = VariableSpace()
+        return cls.from_rows(space, columns, constraint_rows(constraints, columns))
+
+    @classmethod
+    def from_rows(
+        cls,
+        space: Space,
+        columns: VariableSpace,
+        rows: Sequence[tuple[SparseRow, bool]],
+    ) -> "Polyhedron":
+        """The simplified polyhedron of integer *rows* over the names in *columns*.
+
+        *columns* must hold exactly the names the rows were interned with,
+        in order of first appearance; the rows are read as ``>= 0`` or
+        ``== 0`` constraints.
+        """
+        names = columns.names
+        simplified = simplify_sparse_rows(rows, len(names))
+        _check_names(space, names, simplified)
+        return cls._from_rows(space, names, simplified)
+
+    # ------------------------------------------------------------------ #
+    # Storage
+    # ------------------------------------------------------------------ #
+    def _encoded(self) -> tuple[tuple[str, ...], Rows]:
+        if self._rows is None:
+            columns = VariableSpace()
+            rows = tuple(constraint_rows(self._constraints, columns))
+            # Names first: a thread that sees the rows also sees their names.
+            self._names = columns.names
+            self._rows = rows
+        return self._names, self._rows
+
+    @property
+    def rows(self) -> Rows:
+        """The ``(SparseRow, is_equality)`` pairs, over :attr:`column_names`."""
+        return self._encoded()[1]
+
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        """The dimension name of each column index used by :attr:`rows`."""
+        return self._encoded()[0]
+
+    @property
+    def constraints(self) -> tuple[AffineConstraint, ...]:
+        """The constraints as :class:`AffineConstraint` objects (decoded once)."""
+        if self._constraints is None:
+            self._constraints = tuple(sparse_to_constraints(self._rows, self._names))
+        return self._constraints
+
+    def rows_in(
+        self, columns: VariableSpace, rename: Mapping[str, str] | None = None
+    ) -> list[tuple[SparseRow, bool]]:
+        """The rows re-indexed over *columns*, interning names as they appear.
+
+        Names are interned in order of first appearance over the rows, each
+        read in column order, after applying *rename* (which must not map
+        two of the polyhedron's names onto one).
+        """
+        names, rows = self._encoded()
+        target: dict[int, int] = {}
+        for row, _ in rows:
+            for column, _ in row.terms:
+                if column not in target:
+                    name = names[column]
+                    if rename is not None:
+                        name = rename.get(name, name)
+                    target[column] = columns.intern(name)
+        if all(column == index for column, index in target.items()):
+            return list(rows)
+        remapped: list[tuple[SparseRow, bool]] = []
+        for row, is_equality in rows:
+            terms = [(target[column], value) for column, value in row.terms]
+            if len(terms) > 1:
+                terms.sort()
+            remapped.append((SparseRow(tuple(terms), row.constant), is_equality))
+        return remapped
+
+    def row_signature(self) -> frozenset:
+        """The rows as an order-free set of ``(is_equality, terms, constant)``.
+
+        Terms are ``(name, coefficient)`` sets, so two polyhedra have the
+        same signature exactly when they list the same constraints, in any
+        order and over any column numbering.
+        """
+        names, rows = self._encoded()
+        return frozenset(
+            (
+                is_equality,
+                frozenset((names[column], value) for column, value in row.terms),
+                row.constant,
+            )
+            for row, is_equality in rows
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._rows if self._rows is not None else self._constraints)
 
     def equalities(self) -> list[AffineConstraint]:
         return [c for c in self.constraints if c.is_equality]
@@ -60,37 +206,59 @@ class Polyhedron:
 
     def contains(self, point: Mapping[str, Rational]) -> bool:
         """True when *point* (an assignment of every dimension) satisfies all constraints."""
-        values = {name: as_fraction(point[name]) for name in self.space.names}
-        return all(constraint.is_satisfied(values) for constraint in self.constraints)
+        values = {name: as_exact(point[name]) for name in self.space.names}
+        names, rows = self._encoded()
+        for row, is_equality in rows:
+            total = row.constant
+            for column, value in row.terms:
+                total += value * values[names[column]]
+            if total != 0 if is_equality else total < 0:
+                return False
+        return True
 
     def has_trivial_contradiction(self) -> bool:
         """True when some constraint is a constant contradiction (e.g. ``-1 >= 0``)."""
-        return any(constraint.is_trivially_false() for constraint in self.constraints)
+        return any(
+            not row.terms and (row.constant != 0 if is_equality else row.constant < 0)
+            for row, is_equality in self._encoded()[1]
+        )
 
     # ------------------------------------------------------------------ #
     # Set operations
     # ------------------------------------------------------------------ #
     def add_constraints(self, constraints: Iterable[AffineConstraint]) -> "Polyhedron":
         """The polyhedron with extra constraints added (same space)."""
-        return Polyhedron.from_constraints(
-            self.space, list(self.constraints) + list(constraints)
-        )
+        columns = VariableSpace()
+        rows = self.rows_in(columns)
+        rows.extend(constraint_rows(constraints, columns))
+        return Polyhedron.from_rows(self.space, columns, rows)
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         """Intersection of two polyhedra over the same space."""
         if other.space != self.space:
             raise ValueError("cannot intersect polyhedra over different spaces")
-        return self.add_constraints(other.constraints)
+        columns = VariableSpace()
+        rows = self.rows_in(columns)
+        rows.extend(other.rows_in(columns))
+        return Polyhedron.from_rows(self.space, columns, rows)
 
     def project_onto(self, names: Sequence[str]) -> "Polyhedron":
         """Project onto the listed iterator dimensions (parameters always kept)."""
         keep = set(names) | set(self.space.parameters)
         drop = [name for name in self.space.iterators if name not in keep]
-        projected = eliminate_variables(list(self.constraints), drop)
+        columns = VariableSpace()
+        rows = self.rows_in(columns)
+        eliminated = [
+            column
+            for column in (columns.get(name) for name in drop)
+            if column is not None
+        ]
+        projected = eliminate_sparse_columns(rows, len(columns), eliminated)
         new_space = Space(
             tuple(n for n in self.space.iterators if n in keep), self.space.parameters
         )
-        return Polyhedron.from_constraints(new_space, projected)
+        # The projection is simplified once more over its own columns.
+        return Polyhedron._from_rows(new_space, columns.names, projected).add_constraints(())
 
     def project_out(self, names: Iterable[str]) -> "Polyhedron":
         """Eliminate the listed iterator dimensions."""
@@ -100,17 +268,28 @@ class Polyhedron:
 
     def rename_iterators(self, mapping: Mapping[str, str]) -> "Polyhedron":
         """Rename iterator dimensions (space and constraints consistently)."""
-        return Polyhedron(
-            self.space.rename_iterators(mapping),
-            tuple(constraint.rename(dict(mapping)) for constraint in self.constraints),
-        )
+        space = self.space.rename_iterators(mapping)
+        if self._given:
+            return Polyhedron(
+                space, (constraint.rename(dict(mapping)) for constraint in self._constraints)
+            )
+        names = tuple(mapping.get(name, name) for name in self._names)
+        if len(set(names)) != len(names):
+            # Two columns merge: rename the decoded constraints instead.
+            return Polyhedron(
+                space, (constraint.rename(dict(mapping)) for constraint in self.constraints)
+            )
+        _check_names(space, names, self._rows)
+        return Polyhedron._from_rows(space, names, self._rows)
 
     def with_space(self, space: Space) -> "Polyhedron":
         """Re-interpret the same constraints in a larger space (must contain all dims)."""
         missing = set(self.space.names) - set(space.names)
         if missing:
             raise ValueError(f"target space is missing dimensions {sorted(missing)}")
-        return Polyhedron(space, self.constraints)
+        if self._given:
+            return Polyhedron(space, self._constraints)
+        return Polyhedron._from_rows(space, self._names, self._rows, self._constraints)
 
     def fix_dimensions(self, values: Mapping[str, Rational]) -> "Polyhedron":
         """Substitute fixed numeric values for some dimensions.
@@ -118,13 +297,35 @@ class Polyhedron:
         The fixed dimensions are removed from the space (parameters included),
         which is how parameter context values are applied before enumeration.
         """
-        bindings = {name: AffineExpr.const(value) for name, value in values.items()}
-        constraints = [constraint.substitute(bindings) for constraint in self.constraints]
+        names, rows = self._encoded()
+        fixed = {
+            column: as_exact(values[name])
+            for column, name in enumerate(names)
+            if name in values
+        }
+        substituted: list[tuple[SparseRow, bool]] = []
+        for row, is_equality in rows:
+            if not any(column in fixed for column, _ in row.terms):
+                substituted.append((row, is_equality))
+                continue
+            constant = row.constant
+            terms = []
+            for column, value in row.terms:
+                if column in fixed:
+                    constant += value * fixed[column]
+                else:
+                    terms.append((column, value))
+            if type(constant) is not int:
+                # A rational value: scale the row back to integers.
+                scale = constant.denominator
+                terms = [(column, value * scale) for column, value in terms]
+                constant = constant.numerator
+            substituted.append((SparseRow.from_terms(terms, constant), is_equality))
         new_space = Space(
             tuple(n for n in self.space.iterators if n not in values),
             tuple(n for n in self.space.parameters if n not in values),
         )
-        return Polyhedron.from_constraints(new_space, constraints)
+        return Polyhedron._from_rows(new_space, names, substituted).add_constraints(())
 
     # ------------------------------------------------------------------ #
     # Emptiness / sampling / enumeration (delegated to the ILP layer)
@@ -183,6 +384,41 @@ class Polyhedron:
                 upper.append(bound)
         return lower, upper
 
+    # ------------------------------------------------------------------ #
+    # Identity
+    # ------------------------------------------------------------------ #
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Polyhedron):
+            return NotImplemented
+        return self.space == other.space and self.constraints == other.constraints
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.constraints))
+
+    def __reduce__(self):
+        if self._given:
+            return (Polyhedron, (self.space, self._constraints))
+        return (Polyhedron._from_rows, (self.space, self._names, self._rows))
+
+    def __repr__(self) -> str:
+        return f"Polyhedron(space={self.space!r}, constraints={self.constraints!r})"
+
     def __str__(self) -> str:
         body = " and ".join(str(c) for c in self.constraints) or "true"
         return f"{self.space} : {body}"
+
+
+def _check_names(
+    space: Space, names: Sequence[str], rows: Iterable[tuple[SparseRow, bool]]
+) -> None:
+    """Reject rows that use a dimension *space* does not have."""
+    known = set(space.names)
+    if known.issuperset(names):
+        return
+    for row, is_equality in rows:
+        unknown = {names[column] for column, _ in row.terms} - known
+        if unknown:
+            (constraint,) = sparse_to_constraints([(row, is_equality)], names)
+            raise ValueError(
+                f"constraint {constraint} references unknown dimensions {sorted(unknown)}"
+            )

@@ -273,6 +273,46 @@ class TestPipelineTracing:
 
 
 # --------------------------------------------------------------------------- #
+# Dependence-stage counters
+# --------------------------------------------------------------------------- #
+class TestDependenceTracing:
+    def test_dependence_span_carries_analysis_counters(self):
+        tracer = Tracer()
+        session = Session(tracer=tracer)
+        scop = build_gemm(8, 8, 8)
+        session.compile(scop)
+        (span,) = [r for r in tracer.records if r.name == "stage.dependences"]
+        assert span.counters == {
+            "access_pairs": 12,
+            "polyhedra": 78,
+            "rows_admitted": 1275,
+            "emptiness_probes": 78,
+            "emptiness_trivial_hits": 48,
+            "emptiness_reuse_hits": 20,
+            "emptiness_engine_probes": 10,
+        }
+        # Every level polyhedron is probed once, and each probe is answered
+        # exactly one way.
+        counters = span.counters
+        assert counters["emptiness_probes"] == counters["polyhedra"]
+        assert counters["emptiness_probes"] == (
+            counters["emptiness_trivial_hits"]
+            + counters["emptiness_reuse_hits"]
+            + counters["emptiness_engine_probes"]
+        )
+        assert session.dependence_probe_statistics(scop) == counters
+
+    def test_untraced_compile_reports_the_same_counters(self):
+        scop = build_gemm(8, 8, 8)
+        session = Session()
+        session.compile(scop)
+        tracer = Tracer()
+        Session(tracer=tracer).compile(build_gemm(8, 8, 8))
+        (span,) = [r for r in tracer.records if r.name == "stage.dependences"]
+        assert session.dependence_probe_statistics(scop) == span.counters
+
+
+# --------------------------------------------------------------------------- #
 # Evaluate-stage spans
 # --------------------------------------------------------------------------- #
 class TestEvaluateTracing:
