@@ -86,8 +86,8 @@ def _run_core(kernel: str, core: str) -> dict:
         scop = _build(kernel)
         before = FM_STATS.as_dict()
         started = time.perf_counter()
-        probe_statistics: dict[str, int] = {}
-        dependences = compute_dependences(scop, probe_statistics=probe_statistics)
+        dependence_statistics: dict[str, int] = {}
+        dependences = compute_dependences(scop, statistics=dependence_statistics)
         result = PolyTOPSScheduler(scop, dependences=dependences).schedule()
         wall = time.perf_counter() - started
         # The scheduling run's FM work lives in the run's own statistics
@@ -115,7 +115,7 @@ def _run_core(kernel: str, core: str) -> dict:
         "wall_seconds": wall,
         "fm": delta,
         "nnz_density": (delta["fm_emitted_nnz"] / cells) if cells else 1.0,
-        "probes": probe_statistics,
+        "probes": dependence_statistics,
         "fallback": result.fallback_to_original,
         "rows": {
             name: [str(row) for row in statement.rows]

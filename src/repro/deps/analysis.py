@@ -57,15 +57,14 @@ class DependenceAnalysis:
 
     Every candidate polyhedron of one :meth:`run` is probed for integer
     emptiness through a single :class:`~repro.polyhedra.emptiness.BatchProbe`
-    — one engine context per SCoP instead of one solver per probe — and the
-    probe counters of the last run stay readable on
-    :attr:`last_probe_statistics` (the pipeline's dependence stage reports
-    them as a diagnostic).
+    — one engine context per SCoP instead of one solver per probe.
 
-    :attr:`last_statistics` adds the deterministic work counters of the last
-    run: ``access_pairs`` (access pairs analysed), ``polyhedra`` (level
-    polyhedra built, one per pair and original depth) and ``rows_admitted``
-    (constraint rows those polyhedra kept after simplification).
+    :attr:`last_statistics` holds the deterministic counters of the last
+    run: the probe counters (probes, trivial and cache reuse hits, engine
+    probes) and the analysis work, ``access_pairs`` (access pairs analysed),
+    ``polyhedra`` (level polyhedra built, one per pair and original depth)
+    and ``rows_admitted`` (constraint rows those polyhedra kept after
+    simplification).  The pipeline's dependence stage puts them on its span.
     """
 
     include_flow: bool = True
@@ -73,26 +72,30 @@ class DependenceAnalysis:
     include_output: bool = True
 
     def __post_init__(self) -> None:
-        self.last_probe_statistics: dict[str, int] = {}
         self.last_statistics: dict[str, int] = {}
-        self._counters: dict[str, int] = {}
 
     def run(self, scop: Scop) -> list[Dependence]:
         probe = BatchProbe()
-        self._counters = dict.fromkeys(("access_pairs", "polyhedra", "rows_admitted"), 0)
+        counters = dict.fromkeys(("access_pairs", "polyhedra", "rows_admitted"), 0)
         dependences: list[Dependence] = []
         for source in scop.statements:
             for target in scop.statements:
-                dependences.extend(self._statement_pair(scop, source, target, probe))
-        self.last_probe_statistics = probe.statistics()
-        self.last_statistics = {**self._counters, **self.last_probe_statistics}
+                dependences.extend(
+                    self._statement_pair(scop, source, target, probe, counters)
+                )
+        self.last_statistics = {**counters, **probe.statistics()}
         return dependences
 
     # ------------------------------------------------------------------ #
     # Per statement pair
     # ------------------------------------------------------------------ #
     def _statement_pair(
-        self, scop: Scop, source: Statement, target: Statement, probe: BatchProbe
+        self,
+        scop: Scop,
+        source: Statement,
+        target: Statement,
+        probe: BatchProbe,
+        counters: dict[str, int],
     ) -> Iterable[Dependence]:
         arrays = source.accessed_arrays() & target.accessed_arrays()
         for array in sorted(arrays):
@@ -102,7 +105,8 @@ class DependenceAnalysis:
                     if kind is None:
                         continue
                     yield from self._access_pair(
-                        scop, source, target, source_access, target_access, kind, probe
+                        scop, source, target, source_access, target_access, kind,
+                        probe, counters,
                     )
 
     def _classify(
@@ -128,6 +132,7 @@ class DependenceAnalysis:
         target_access: ArrayAccess,
         kind: DependenceKind,
         probe: BatchProbe,
+        counters: dict[str, int],
     ) -> Iterable[Dependence]:
         source_map = {name: f"{name}{SOURCE_SUFFIX}" for name in source.iterators}
         target_map = {name: f"{name}{TARGET_SUFFIX}" for name in target.iterators}
@@ -166,7 +171,7 @@ class DependenceAnalysis:
         source_rows = _pad(source_rows, n_levels)
         target_rows = _pad(target_rows, n_levels)
 
-        self._counters["access_pairs"] += 1
+        counters["access_pairs"] += 1
         prefix_rows = []
         for depth in range(n_levels):
             difference = target_rows[depth].rename(target_map) - source_rows[depth].rename(
@@ -177,8 +182,8 @@ class DependenceAnalysis:
                 constraint_rows([AffineConstraint.greater_equal(difference, 1)], columns)
             )
             polyhedron = Polyhedron.from_rows(combined_space, columns, level_rows)
-            self._counters["polyhedra"] += 1
-            self._counters["rows_admitted"] += polyhedron.n_constraints
+            counters["polyhedra"] += 1
+            counters["rows_admitted"] += polyhedron.n_constraints
             if not probe.is_integer_empty(polyhedron):
                 yield Dependence(
                     source=source.name,
@@ -214,22 +219,20 @@ def compute_dependences(
     include_anti: bool = True,
     include_output: bool = True,
     deduplicate: bool = False,
-    probe_statistics: dict | None = None,
+    statistics: dict | None = None,
 ) -> list[Dependence]:
     """Compute the dependences of *scop* (flow, anti and output by default).
 
     With ``deduplicate=True`` dependences imposing identical scheduling
     constraints (same source, target and polyhedron, differing only by kind)
     are collapsed to one representative each.  Passing a dict as
-    ``probe_statistics`` fills it with the run's counters
-    (:attr:`DependenceAnalysis.last_statistics`): the batched emptiness-probe
-    counters (probe count, trivial and cache reuse hits, engine probes) and
-    the analysis work (access pairs, polyhedra built, rows admitted).
+    ``statistics`` fills it with the run's counters
+    (:attr:`DependenceAnalysis.last_statistics`).
     """
     analysis = DependenceAnalysis(include_flow, include_anti, include_output)
     dependences = analysis.run(scop)
-    if probe_statistics is not None:
-        probe_statistics.update(analysis.last_statistics)
+    if statistics is not None:
+        statistics.update(analysis.last_statistics)
     if deduplicate:
         return deduplicate_dependences(dependences)
     return dependences

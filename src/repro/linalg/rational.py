@@ -25,7 +25,6 @@ __all__ = [
     "scale_to_integers",
     "normalize_integer_row",
     "is_integral",
-    "ratio_str",
 ]
 
 
@@ -102,17 +101,3 @@ def is_integral(value: Rational) -> bool:
     """True when *value* is an integer-valued rational."""
     return as_fraction(value).denominator == 1
 
-
-def ratio_str(numerator: int, denominator: int) -> str:
-    """``str(Fraction(numerator, denominator))`` without building the Fraction.
-
-    *denominator* must be positive.
-    """
-    if denominator != 1:
-        divisor = gcd(numerator, denominator)
-        if divisor != 1:
-            numerator //= divisor
-            denominator //= divisor
-        if denominator != 1:
-            return f"{numerator}/{denominator}"
-    return str(numerator)

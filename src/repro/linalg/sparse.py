@@ -21,18 +21,13 @@ These rows are also the storage format of the polyhedra: a
 ``(SparseRow, is_equality)`` pairs over a tuple of column names, and an
 affine constraint is encoded from its integer numerator
 (:func:`repro.polyhedra.fourier_motzkin.constraint_rows`).  No rational form
-sits between a constraint system and the elimination core;
-:meth:`SparseRow.from_rational_terms` remains for callers that hold
-rational data.
+sits between a constraint system and the elimination core.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
-
-from .rational import Rational, as_fraction, lcm_many
+from typing import Iterable, Sequence
 
 __all__ = ["SparseRow"]
 
@@ -86,39 +81,6 @@ class SparseRow:
         return cls._reduced(
             [(column, value) for column, value in enumerate(row[:-1]) if value],
             row[-1],
-        )
-
-    @classmethod
-    def from_rational_terms(
-        cls, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]],
-        constant: Rational = 0,
-    ) -> "SparseRow":
-        """Build from rational ``column -> value`` data (denominators cleared).
-
-        The positive scaling preserves the half-space/hyperplane described by
-        the row, mirroring the dense core's ``clear_denominators``.
-        """
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[int, Fraction] = {}
-        for column, value in items:
-            value = as_fraction(value)
-            if value:
-                total = merged.get(column, Fraction(0)) + value
-                if total:
-                    merged[column] = total
-                else:
-                    merged.pop(column, None)
-        constant_fraction = as_fraction(constant)
-        denominator = lcm_many(
-            [value.denominator for value in merged.values()]
-            + [constant_fraction.denominator]
-        )
-        return cls._reduced(
-            sorted(
-                (column, int(value * denominator))
-                for column, value in merged.items()
-            ),
-            int(constant_fraction * denominator),
         )
 
     @classmethod

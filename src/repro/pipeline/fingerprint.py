@@ -15,9 +15,9 @@ model evaluates on concrete problem sizes.
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
 from typing import Mapping
 
-from ..linalg.rational import ratio_str
 from ..model.scop import Scop
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
@@ -33,11 +33,10 @@ __all__ = [
 
 
 def _expr_token(expression: AffineExpr) -> tuple:
-    # ``str`` of each rational coefficient, computed from the integer form.
     constant, terms, denominator = expression.integer_form
     return (
-        tuple(sorted((name, ratio_str(value, denominator)) for name, value in terms)),
-        ratio_str(constant, denominator),
+        tuple(sorted((name, str(Fraction(value, denominator))) for name, value in terms)),
+        str(Fraction(constant, denominator)),
     )
 
 

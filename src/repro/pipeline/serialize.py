@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from ..deps.dependence import Dependence, DependenceKind
-from ..linalg.rational import ratio_str
 from ..machine.cost_model import PerformanceReport
 from ..machine.machine import CacheLevelSpec, MachineModel
 from ..model.access import AccessKind, ArrayAccess
@@ -102,11 +101,12 @@ def _decode_fraction(value: Any) -> Fraction:
 
 
 def encode_expr(expression: AffineExpr) -> dict:
-    # Each rational is written as str(Fraction), computed from the integers.
     constant, terms, denominator = expression.integer_form
     return {
-        "terms": {name: ratio_str(value, denominator) for name, value in sorted(terms)},
-        "constant": ratio_str(constant, denominator),
+        "terms": {
+            name: str(Fraction(value, denominator)) for name, value in sorted(terms)
+        },
+        "constant": str(Fraction(constant, denominator)),
     }
 
 

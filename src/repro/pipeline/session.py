@@ -136,7 +136,7 @@ class Session:
             else:
                 self.tracer = NULL_TRACER
         self._dependences: dict[str, list[Dependence]] = {}
-        self._probe_statistics: dict[str, dict[str, int]] = {}
+        self._dependence_statistics: dict[str, dict[str, int]] = {}
         self._results: dict[tuple, CompilationResult] = {}
         self._lock = threading.RLock()
         self.statistics = {
@@ -173,31 +173,35 @@ class Session:
         # distinct kernels in parallel; a rare duplicated analysis of the same
         # kernel is resolved by keeping the first stored list.  Each analysis
         # batches its emptiness probes through one engine context per SCoP.
-        probe_statistics: dict[str, int] = {}
-        dependences = compute_dependences(scop, probe_statistics=probe_statistics)
+        statistics: dict[str, int] = {}
+        dependences = compute_dependences(scop, statistics=statistics)
         with self._lock:
             if fingerprint in self._dependences:
                 self.statistics["dependence_hits"] += 1
             else:
                 self.statistics["dependence_misses"] += 1
                 self._dependences[fingerprint] = dependences
-                self._probe_statistics[fingerprint] = probe_statistics
-                self.statistics["emptiness_probes"] += probe_statistics.get(
+                self._dependence_statistics[fingerprint] = statistics
+                self.statistics["emptiness_probes"] += statistics.get(
                     "emptiness_probes", 0
                 )
-                self.statistics["emptiness_reuse_hits"] += probe_statistics.get(
+                self.statistics["emptiness_reuse_hits"] += statistics.get(
                     "emptiness_reuse_hits", 0
                 )
             return self._dependences[fingerprint]
 
-    def dependence_probe_statistics(self, scop: Scop) -> dict[str, int]:
+    def dependence_statistics(self, scop: Scop) -> dict[str, int]:
         """Counters of *scop*'s (cached) dependence analysis.
 
-        The emptiness-probe counters plus the analysis work counters of
+        The emptiness-probe and analysis work counters of
         :attr:`repro.deps.analysis.DependenceAnalysis.last_statistics`.
         """
         with self._lock:
-            return dict(self._probe_statistics.get(scop_fingerprint(scop), {}))
+            return dict(self._dependence_statistics.get(scop_fingerprint(scop), {}))
+
+    def dependence_probe_statistics(self, scop: Scop) -> dict[str, int]:
+        """Former name of :meth:`dependence_statistics` (perfbench reads it)."""
+        return self.dependence_statistics(scop)
 
     # ------------------------------------------------------------------ #
     # One-shot compilation

@@ -169,7 +169,7 @@ class DependenceStage:
 
     def run(self, context: PipelineContext) -> None:
         context.dependences = context.session.dependences(context.scop)
-        probes = context.session.dependence_probe_statistics(context.scop)
+        probes = context.session.dependence_statistics(context.scop)
         tracer = active_tracer()
         if tracer.enabled:
             # The analysis counters (work and probe outcomes) go on the

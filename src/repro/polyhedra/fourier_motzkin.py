@@ -33,10 +33,11 @@ as ``(SparseRow, is_equality)`` pairs and simplifies or projects them through
 :func:`constraint_rows` encodes an :class:`AffineConstraint` straight from
 its integer numerator (:attr:`AffineExpr.integer_form`).  The
 :class:`AffineConstraint` functions (:func:`simplify_constraints`,
-:func:`eliminate_variables`) encode, run the core and decode in one call;
-:func:`constraints_to_rows`/:func:`rows_to_constraints` are the dense core's
-named boundary.  :func:`repro.polyhedra.farkas.farkas_nonnegative` builds its
-multiplier system directly from a polyhedron's rows.
+:func:`eliminate_variables`) encode with :func:`constraint_rows`, run the
+same two dispatchers and decode with :func:`sparse_to_constraints`; only the
+dense core widens rows to ``list[int]`` (and back) inside the dispatchers.
+:func:`repro.polyhedra.farkas.farkas_nonnegative` builds its multiplier
+system directly from a polyhedron's rows.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "simplify_sparse_rows",
     "eliminate_sparse_columns",
     # Indexed integer core (used directly by repro.polyhedra.farkas)
-    "constraints_to_rows",
     "rows_to_constraints",
     "sparse_to_constraints",
     "simplify_rows",
@@ -114,11 +114,7 @@ def eliminate_variables(
     should pass their own :class:`FmStatistics`).
     """
     space = VariableSpace()
-    sparse = active_core() == "sparse"
-    if sparse:
-        rows = constraint_rows(constraints, space)
-    else:
-        dense, kinds = constraints_to_rows(constraints, space)
+    rows = constraint_rows(constraints, space)
     # Names absent from every constraint are already eliminated; interning
     # them would alias the constant column of the dense rows.
     columns = [
@@ -126,14 +122,8 @@ def eliminate_variables(
         for column in (space.get(name) for name in names)
         if column is not None
     ]
-    if sparse:
-        rows = eliminate_sparse_columns(rows, len(space), columns, stats=stats)
-        return sparse_to_constraints(rows, space.names)
-    if not columns:
-        dense, kinds = simplify_rows(dense, kinds, stats=stats)
-    else:
-        dense, kinds = eliminate_columns(dense, kinds, columns, stats=stats)
-    return rows_to_constraints(dense, kinds, space)
+    rows = eliminate_sparse_columns(rows, len(space), columns, stats=stats)
+    return sparse_to_constraints(rows, space.names)
 
 
 def simplify_constraints(
@@ -141,14 +131,8 @@ def simplify_constraints(
 ) -> list[AffineConstraint]:
     """Normalise coefficients, drop duplicates/subsumed and trivially-true constraints."""
     space = VariableSpace()
-    if active_core() == "sparse":
-        rows = simplify_sparse_rows(
-            constraint_rows(constraints, space), len(space), stats=stats
-        )
-        return sparse_to_constraints(rows, space.names)
-    dense, kinds = constraints_to_rows(constraints, space)
-    dense, kinds = simplify_rows(dense, kinds, stats=stats)
-    return rows_to_constraints(dense, kinds, space)
+    rows = simplify_sparse_rows(constraint_rows(constraints, space), len(space), stats=stats)
+    return sparse_to_constraints(rows, space.names)
 
 
 # --------------------------------------------------------------------------- #
@@ -234,33 +218,8 @@ def eliminate_sparse_columns(
 
 
 # --------------------------------------------------------------------------- #
-# Dense-row conversions (the retained dense core's named boundary)
+# Dense-row decoding (the dense Farkas path)
 # --------------------------------------------------------------------------- #
-def constraints_to_rows(
-    constraints: Sequence[AffineConstraint], space: VariableSpace
-) -> tuple[IndexedRows, RowKinds]:
-    """Intern every name of *constraints* into *space* and emit dense integer rows.
-
-    Each row is the constraint's integer numerator, not GCD-reduced: the
-    dense core reduces the rows it scans itself.
-    """
-    encoded = []
-    for constraint in constraints:
-        constant, terms, _ = constraint.expression.integer_form
-        encoded.append(
-            ([(space.intern(name), value) for name, value in terms], constant)
-        )
-    width = len(space)
-    rows: IndexedRows = []
-    for terms, constant in encoded:
-        dense = [0] * (width + 1)
-        for column, value in terms:
-            dense[column] = value
-        dense[width] = constant
-        rows.append(dense)
-    return rows, [constraint.is_equality for constraint in constraints]
-
-
 def rows_to_constraints(
     rows: IndexedRows, kinds: RowKinds, space: VariableSpace
 ) -> list[AffineConstraint]:

@@ -267,19 +267,20 @@ class Polyhedron:
         return self.project_onto(keep)
 
     def rename_iterators(self, mapping: Mapping[str, str]) -> "Polyhedron":
-        """Rename iterator dimensions (space and constraints consistently)."""
+        """Rename iterator dimensions (space and constraints consistently).
+
+        Names of *mapping* that are not iterators are left alone, as in
+        :meth:`Space.rename_iterators`; the new space rejects a mapping that
+        merges two dimensions.
+        """
         space = self.space.rename_iterators(mapping)
+        iterators = set(self.space.iterators)
+        mapping = {name: new for name, new in mapping.items() if name in iterators}
         if self._given:
             return Polyhedron(
-                space, (constraint.rename(dict(mapping)) for constraint in self._constraints)
+                space, (constraint.rename(mapping) for constraint in self._constraints)
             )
         names = tuple(mapping.get(name, name) for name in self._names)
-        if len(set(names)) != len(names):
-            # Two columns merge: rename the decoded constraints instead.
-            return Polyhedron(
-                space, (constraint.rename(dict(mapping)) for constraint in self.constraints)
-            )
-        _check_names(space, names, self._rows)
         return Polyhedron._from_rows(space, names, self._rows)
 
     def with_space(self, space: Space) -> "Polyhedron":

@@ -248,6 +248,18 @@ class TestPolyhedron:
         assert poly.space.iterators == ("x",)
         assert poly.contains({"x": 2})
 
+    def test_rename_iterators_leaves_parameters_alone(self):
+        # i <= N, built simplified and as given constraints.
+        space = Space(("i",), ("N",))
+        bound = AffineConstraint.less_equal(AffineExpr.variable("i"), AffineExpr.variable("N"))
+        for poly in (Polyhedron.from_constraints(space, [bound]), Polyhedron(space, [bound])):
+            renamed = poly.rename_iterators({"i": "x", "N": "i"})
+            assert renamed.space == Space(("x",), ("N",))
+            assert renamed.contains({"x": 2, "N": 3})
+            assert not renamed.contains({"x": 4, "N": 3})
+            with pytest.raises(ValueError):
+                poly.rename_iterators({"i": "N"})
+
     def test_dimension_bounds(self):
         poly = _box(["i"], [1], [7])
         lower, upper = poly.dimension_bounds("i")

@@ -3,9 +3,9 @@
 The reference is the representation the polyhedra used before they kept
 integer rows: :class:`RefExpr` stores ``{name: Fraction}`` coefficients and
 a ``Fraction`` constant, and every reference polyhedron operation converts
-its constraint list to sparse rows with ``SparseRow.from_rational_terms``,
-runs the elimination core and decodes the rows back into ``Fraction``
-dictionaries.  The production :class:`~repro.polyhedra.polyhedron.Polyhedron`
+its constraint list to sparse rows with :func:`rational_row` (denominators
+cleared by their LCM), runs the elimination core and decodes the rows back
+into ``Fraction`` dictionaries.  The production :class:`~repro.polyhedra.polyhedron.Polyhedron`
 must give the same constraint lists: the same constraints in the same order,
 each with the same coefficients listed in the same order.  Both sides run
 the elimination core selected by ``REPRO_FM_CORE``.
@@ -96,12 +96,23 @@ def _ref(value) -> RefExpr:
 RefConstraint = tuple[RefExpr, bool]
 
 
+def rational_row(terms: Mapping[int, Fraction], constant: Fraction) -> SparseRow:
+    """The GCD-reduced integer row of rational ``column -> value`` data."""
+    denominator = math.lcm(
+        *(value.denominator for value in terms.values()), constant.denominator
+    )
+    return SparseRow.from_terms(
+        [(column, int(value * denominator)) for column, value in terms.items() if value],
+        int(constant * denominator),
+    )
+
+
 def ref_to_rows(constraints, space: VariableSpace):
     for expression, _ in constraints:
         for name in expression.coefficients:
             space.intern(name)
     rows = [
-        SparseRow.from_rational_terms(
+        rational_row(
             {space.index_of(name): value for name, value in expression.coefficients.items()},
             expression.constant,
         )

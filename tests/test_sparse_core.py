@@ -39,7 +39,7 @@ from repro.polyhedra.emptiness import BatchProbe, find_integer_point
 from repro.polyhedra.farkas import farkas_nonnegative
 from repro.polyhedra.fourier_motzkin import (
     active_core,
-    constraints_to_rows,
+    constraint_rows,
     eliminate_columns,
     eliminate_variables,
 )
@@ -289,7 +289,10 @@ class TestSparseRow:
         assert SparseRow.from_dense([2, 4, 6]) == SparseRow.from_dense([1, 2, 3])
 
     def test_rational_terms_clear_denominators(self):
-        row = SparseRow.from_rational_terms({0: Fraction(1, 2), 1: Fraction(1, 3)}, 1)
+        half_and_third = AffineExpr({"x": Fraction(1, 2), "y": Fraction(1, 3)}, 1)
+        ((row, _),) = constraint_rows(
+            [AffineConstraint(half_and_third, ConstraintKind.INEQUALITY)], VariableSpace()
+        )
         assert row.terms == ((0, 3), (1, 2))
         assert row.constant == 6
 
@@ -364,7 +367,8 @@ def _box_rows(n_vars: int, width: int) -> tuple[list[list[int]], list[bool]]:
             )
         )
     space = VariableSpace()
-    return constraints_to_rows(constraints, space)
+    rows = constraint_rows(constraints, space)
+    return [row.to_dense(len(space)) for row, _ in rows], [kind for _, kind in rows]
 
 
 def test_dense_simplify_is_incremental_over_touched_rows():
@@ -463,7 +467,7 @@ def test_dependence_analysis_batches_probes():
     analysis = DependenceAnalysis()
     dependences = analysis.run(build_kernel("jacobi-1d"))
     assert dependences
-    statistics = analysis.last_probe_statistics
+    statistics = analysis.last_statistics
     assert statistics["emptiness_probes"] > 0
     # The whole SCoP went through one batched context, and the per-depth
     # splitting produces repeated candidate polyhedra the cache answers.
